@@ -106,8 +106,7 @@ def classify_matrix(A: Matrix2) -> MatrixClassReport:
     concave_by_w = cmp_affine_surd(a - d, 1, gamma_squared(A), 2 * b) > 0
     # Second difference of the induced map T at 0, 1/2, 1; negative iff concave.
     half = Fraction(1, 2) if A.is_exact() else 0.5
-    t_at = lambda x: ((a - b) * x + b) / (alpha * x + b + d)  # noqa: E731
-    second_diff = t_at(0) - 2 * t_at(half) + t_at(1)
+    second_diff = A.moebius(0) - 2 * A.moebius(half) + A.moebius(1)
     concave_by_shape = strictly_negative(second_diff)
 
     votes = (concave_by_alpha, concave_by_rho, concave_by_w, concave_by_shape)

@@ -82,8 +82,8 @@ def _parse_param(text: str) -> RationalParameter:
 def _parse_target(text: str) -> Number:
     if text.startswith("cf:"):
         terms = [int(x) for x in text[3:].split(",") if x != ""]
-        if not terms:
-            raise ValueError("continued-fraction target needs at least one term")
+        if not terms or any(a < 1 for a in terms[1:]):
+            raise ValueError(f"continued fraction needs a0,a1,... with a1,... >= 1: {text!r}")
         value = Fraction(terms[-1])
         for a in reversed(terms[:-1]):
             value = a + 1 / value

@@ -88,8 +88,7 @@ def induced_map_eval(A: Matrix2, x: Number) -> Number:
     require_positive(A)
     if not (-MEMBER_TOL <= float(x) <= 1 + MEMBER_TOL):
         raise DomainError(f"x = {x} outside [0, 1]")
-    a, b, c, d = A.entries()
-    return ((a - b) * x + b) / ((a + c - b - d) * x + b + d)
+    return A.moebius(x)
 
 
 def induced_image(A: Matrix2) -> Interval:
@@ -103,8 +102,7 @@ def induced_inverse_eval(A: Matrix2, x: Number) -> Number:
     require_positive(A)
     if not induced_image(A).contains(x):
         raise DomainError(f"x = {x} outside the induced image {induced_image(A)}")
-    a, b, c, d = A.entries()
-    return ((b + d) * x - b) / (-(a + c - b - d) * x + a - b)
+    return A.moebius_inverse(x)
 
 
 def induced_system(pair: MatrixPair, t: Number = 1) -> InducedSystem:
@@ -170,8 +168,7 @@ def apply_T(sys: InducedSystem, x: Number) -> Number:
     if i is None:
         raise DomainError(f"x = {x} has no branch")
     A = sys.pair.A0 if i == 0 else sys.pair.A1
-    a, b, c, d = A.entries()
-    return ((b + d) * x - b) / (-(a + c - b - d) * x + a - b)
+    return A.moebius_inverse(x)
 
 
 def itinerary(sys: InducedSystem, x: Number, n: int) -> tuple[str, Optional[int]]:
@@ -197,8 +194,7 @@ def itinerary(sys: InducedSystem, x: Number, n: int) -> tuple[str, Optional[int]
 def contraction_eval(sys: InducedSystem, i: int, x: Number) -> Number:
     """The contracting branch T_{A_i} evaluated at x in [0, 1]."""
     A = sys.pair.A0 if i == 0 else sys.pair.A1
-    a, b, c, d = A.entries()
-    return ((a - b) * x + b) / ((a + c - b - d) * x + b + d)
+    return A.moebius(x)
 
 
 def periodic_point(sys: InducedSystem, word: str) -> float:

@@ -66,6 +66,16 @@ class Matrix2:
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         return self.mul(other)
 
+    def moebius(self, x: Number) -> Number:
+        """Induced map T_A(x) = ((a-b)x + b) / (alpha x + b + d) on [0, 1]."""
+        a, b, c, d = self.entries()
+        return ((a - b) * x + b) / ((a + c - b - d) * x + b + d)
+
+    def moebius_inverse(self, x: Number) -> Number:
+        """Inverse S_A(x) = ((b+d)x - b) / (-alpha x + a - b) of the induced map."""
+        a, b, c, d = self.entries()
+        return ((b + d) * x - b) / (-(a + c - b - d) * x + a - b)
+
     def inverse(self) -> "Matrix2":
         det = self.det()
         if det == 0:

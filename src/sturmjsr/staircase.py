@@ -4,27 +4,30 @@ The parameter map sends a scale t to the frequency of symbol 1 of the
 maximizing Sturmian measure of (A0, t*A1).  It is 0 up to the lower
 threshold, 1 from the upper threshold on, and a devil's staircase in
 between: non-decreasing, constant on a plateau at every rational value,
-injective at irrational values.  At a finite denominator cap the map is
-computed by restricted Sturmian maximization; each parameter's restricted
-plateau contains its true plateau, which is what makes the outer bracket
-returned by the counterexample search rigorous at the working resolution.
+injective at irrational values.  At a finite denominator cap the map is the
+upper envelope of the lines base(p/q) + (p/q) log t, whose breakpoints are
+the plateau edges; each parameter's restricted plateau contains its true
+plateau, which is what makes the counterexample search's bracket rigorous.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import Domination, domination_check, thresholds
-from .classify import in_class_D
+from .certify import ThresholdPair, thresholds
+from .classify import pair_report
 from .errors import DomainError, NotInClassD, PlateauNotFound
-from .matrices import MatrixPair, spectral_radius, word_value
+from .matrices import Matrix2, MatrixPair, spectral_radius, word_value
 from .scalar import Number
 from .words import ParameterBracket, RationalParameter, farey_neighbors, mechanical_word
 
-VALUE_TIE_TOL = 1e-12
+# Envelope segments narrower than this in t are merged into their neighbours.
+SEGMENT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,17 +63,23 @@ class CounterexampleResult:
     interior: bool
 
 
-@lru_cache(maxsize=32)
+@dataclass(frozen=True)
+class _Envelope:
+    """Lines base + (p/q) log t by rising p/q; line k tops breaks[k] <= t < breaks[k+1]."""
+
+    params: tuple[RationalParameter, ...]
+    bases: tuple[float, ...]
+    breaks: tuple[float, ...]
+
+
 def _sturmian_table(
     entries: tuple[float, ...], max_den: int
-) -> tuple[tuple[int, int, float, float], ...]:
+) -> list[tuple[int, int, float, float]]:
     """(p, q, value at t = 1, p/q) per reduced parameter, by rising q then p.
 
     Scaling the convex member by t shifts a word's per-letter value by
     exactly (ones/length) log t, so one table at t = 1 serves every scale.
     """
-    from .matrices import Matrix2
-
     pair = MatrixPair(Matrix2(*entries[:4]), Matrix2(*entries[4:]))
     rows = []
     for q in range(1, max_den + 1):
@@ -79,28 +88,59 @@ def _sturmian_table(
                 continue
             word = mechanical_word(RationalParameter(p, q))
             rows.append((p, q, word_value(pair, 1.0, word), p / q))
-    return tuple(rows)
+    return rows
 
 
-def _restricted_argmax(pair: MatrixPair, t: float, max_den: int) -> tuple[RationalParameter, float]:
-    key = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
-    log_t = math.log(t)
-    best: tuple[RationalParameter, float] | None = None
-    for p, q, base, slope in _sturmian_table(key, max_den):
-        value = base + slope * log_t
-        if best is None or value > best[1] + VALUE_TIE_TOL:
-            best = (RationalParameter(p, q), value)
-    assert best is not None
-    return best
+@lru_cache(maxsize=32)
+def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
+    """Upper envelope of the table's lines, segments below SEGMENT_FLOOR merged.
+
+    A stack over rising slope gives the hull.  Then the narrowest segment
+    below the floor is removed, repeatedly; its neighbours meet at their own
+    intersection, kept inside it so the breakpoints stay sorted.
+    """
+    meet = lambda lo, up: (lo[2] - up[2]) / (up[3] - lo[3])  # noqa: E731
+    hull, starts = [], []  # lines, and the log t at which each takes over
+    for row in sorted(_sturmian_table(entries, max_den), key=lambda r: r[3]):
+        while hull and meet(hull[-1], row) <= starts[-1]:
+            del hull[-1], starts[-1]
+        starts.append(meet(hull[-1], row) if hull else -math.inf)
+        hull.append(row)
+
+    n = len(hull)
+    breaks = [-math.inf] + [math.exp(x) for x in starts[1:]] + [math.inf]  # end lines unbounded
+    prev, nxt = list(range(-1, n - 1)), list(range(1, n + 1))
+    heap = [(breaks[k + 1] - breaks[k], k) for k in range(n)]
+    heapq.heapify(heap)
+    while heap and heap[0][0] < SEGMENT_FLOOR:
+        width, k = heapq.heappop(heap)
+        if prev[k] is None or width != breaks[nxt[k]] - breaks[k]:
+            continue  # removed, or widened since it was queued
+        a, b = prev[k], nxt[k]
+        breaks[b] = min(max(math.exp(meet(hull[a], hull[b])), breaks[k]), breaks[b])
+        nxt[a], prev[b], prev[k] = b, a, None
+        for j in (a, b):
+            heapq.heappush(heap, (breaks[nxt[j]] - breaks[j], j))
+
+    kept = [k for k in range(n) if prev[k] is not None]
+    return _Envelope(
+        params=tuple(RationalParameter(*hull[k][:2]) for k in kept),
+        bases=tuple(hull[k][2] for k in kept),
+        breaks=tuple(breaks[k] for k in kept) + (math.inf,),
+    )
 
 
-def parameter_map(pair: MatrixPair, t: Number, max_den: int) -> StaircaseSample:
-    """Best Sturmian parameter at scale t, at denominator resolution max_den."""
-    if not in_class_D(pair).in_D:
+def _validated(pair: MatrixPair, max_den: int) -> tuple[ThresholdPair, _Envelope]:
+    """Class and cap checks, then the thresholds and the envelope of the pair."""
+    if not pair_report(pair).in_D:
         raise NotInClassD("the parameter map needs the strict cross inequalities")
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t}")
-    th = thresholds(pair)
+    if max_den < 1:
+        raise DomainError(f"max_den must be at least 1, got {max_den}")
+    entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
+    return thresholds(pair), _envelope(entries, max_den)
+
+
+def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
     if t <= th.t0:
         param = RationalParameter(0, 1)
         value = math.log(float(spectral_radius(pair.A0.to_float())))
@@ -108,8 +148,18 @@ def parameter_map(pair: MatrixPair, t: Number, max_den: int) -> StaircaseSample:
         param = RationalParameter(1, 1)
         value = math.log(float(t)) + math.log(float(spectral_radius(pair.A1.to_float())))
     else:
-        param, value = _restricted_argmax(pair, float(t), max_den)
+        k = bisect_right(env.breaks, float(t)) - 1
+        param = env.params[k]
+        value = env.bases[k] + param.p / param.q * math.log(float(t))
     return StaircaseSample(t=t, parameter=param, value=value, word=mechanical_word(param))
+
+
+def parameter_map(pair: MatrixPair, t: Number, max_den: int) -> StaircaseSample:
+    """Best Sturmian parameter at scale t, at denominator resolution max_den."""
+    th, env = _validated(pair, max_den)
+    if not t > 0:
+        raise DomainError(f"t must be positive, got {t}")
+    return _sample(pair, th, env, t)
 
 
 def staircase_scan(
@@ -124,13 +174,10 @@ def staircase_scan(
         raise DomainError("need 0 < t_min < t_max")
     if samples < 2:
         raise DomainError("need at least 2 samples")
+    th, env = _validated(pair, max_den)
     lo, hi = float(t_min), float(t_max)
     ratio = (hi / lo) ** (1.0 / (samples - 1))
-    return [parameter_map(pair, lo * ratio**k, max_den) for k in range(samples)]
-
-
-def _parameter_at(pair: MatrixPair, t: float, max_den: int) -> Fraction:
-    return parameter_map(pair, t, max_den).parameter.as_fraction()
+    return [_sample(pair, th, env, lo * ratio**k) for k in range(samples)]
 
 
 def parameter_bracket_of_coordinate(sys, c: Number, depth: int = 64) -> ParameterBracket:
@@ -166,6 +213,19 @@ def parameter_bracket_of_coordinate(sys, c: Number, depth: int = 64) -> Paramete
     return ParameterBracket(lo.lower, hi.upper, exact)
 
 
+def _plateau(th: ThresholdPair, env: _Envelope, param: RationalParameter, max_den: int):
+    """First and last float at which the parameter map reads an interior param."""
+    lo, hi = float(th.t0), float(th.t1)
+    lo = lo if lo > th.t0 else math.nextafter(lo, math.inf)
+    hi = hi if hi < th.t1 else math.nextafter(hi, 0.0)
+    if param in env.params:
+        k = env.params.index(param)
+        lo, hi = max(env.breaks[k], lo), min(math.nextafter(env.breaks[k + 1], 0.0), hi)
+        if lo <= hi:
+            return lo, hi
+    raise PlateauNotFound(f"no scale produced parameter {param} at denominator cap {max_den}")
+
+
 def plateau_bounds(
     pair: MatrixPair,
     param: RationalParameter,
@@ -175,84 +235,19 @@ def plateau_bounds(
     """Scale interval over which the parameter map returns the given value.
 
     The extremal parameters 0/1 and 1/1 use the closed-form thresholds.  For
-    interior parameters a monotone bisection first seeds a scale inside the
-    plateau, then refines both edges until the bracket width drops below the
-    resolution; the reported endpoints are certified inside the plateau.
+    interior parameters the edges are the exact envelope breakpoints clipped
+    to (t0, t1), the upper one an ulp inward, so both read the parameter and
+    meet any resolution.  No segment, say one merged away, is PlateauNotFound.
     """
     if not resolution > 0:
         raise DomainError("resolution must be positive")
-    if not in_class_D(pair).in_D:
-        raise NotInClassD("plateau bounds need the strict cross inequalities")
-    th = thresholds(pair)
+    th, env = _validated(pair, max_den)
     if param == RationalParameter(0, 1):
         return PlateauEstimate(param, 0, th.t0, resolution)
     if param == RationalParameter(1, 1):
         return PlateauEstimate(param, th.t1, math.inf, resolution)
-
-    target = param.as_fraction()
-    lo, hi = float(th.t0), float(th.t1)
-
-    # Seed a scale whose parameter equals the target.
-    seed = None
-    a, b = lo, hi
-    floor = min(resolution, 1e-12)
-    while b - a > floor:
-        mid = math.sqrt(a * b)
-        got = _parameter_at(pair, mid, max_den)
-        if got == target:
-            seed = mid
-            break
-        if got < target:
-            a = mid
-        else:
-            b = mid
-    if seed is None:
-        raise PlateauNotFound(
-            f"no scale produced parameter {param} at denominator cap {max_den}"
-        )
-
-    a, b = lo, seed  # left edge: parameter below target at a, equal at b
-    while b - a > resolution:
-        mid = math.sqrt(a * b)
-        if _parameter_at(pair, mid, max_den) < target:
-            a = mid
-        else:
-            b = mid
-    t_left = b
-
-    a, b = seed, hi  # right edge: equal at a, above target at b
-    while b - a > resolution:
-        mid = math.sqrt(a * b)
-        if _parameter_at(pair, mid, max_den) > target:
-            b = mid
-        else:
-            a = mid
-    t_right = a
-
-    return PlateauEstimate(param, t_left, t_right, resolution)
-
-
-def _monotone_boundary(
-    pair: MatrixPair,
-    below,
-    lo: float,
-    hi: float,
-    tol: float,
-    max_den: int,
-) -> tuple[float, float]:
-    """Bisect the jump of a monotone predicate on t; returns (last False, first True).
-
-    `below(P)` must be True left of the boundary and False right of it for
-    the parameter values P returned along increasing t.
-    """
-    a, b = lo, hi
-    while b - a > tol:
-        mid = math.sqrt(a * b)
-        if below(_parameter_at(pair, mid, max_den)):
-            a = mid
-        else:
-            b = mid
-    return a, b
+    t_lo, t_hi = _plateau(th, env, param, max_den)
+    return PlateauEstimate(param, t_lo, t_hi, resolution)
 
 
 def counterexample_search(
@@ -265,38 +260,37 @@ def counterexample_search(
 
     The target is bracketed by its best rational neighbors p- < target < p+
     at the denominator cap, and the scale bracket is the closure of
-    {t : p- <= parameter_map(t) <= p+}, located by two monotone bisections
-    at resolution tol.  Restricted plateaus contain true plateaus, so this
-    outer bracket provably contains the preimage of the target, and it
-    shrinks as the cap grows because finer neighbors with larger
-    denominators have narrower plateaus.  A rational target representable
-    at the cap degenerates to its own plateau.
+    {t : p- <= parameter_map(t) <= p+}, read off the envelope as exact
+    breakpoints, so it meets any tol.  Restricted plateaus contain true
+    plateaus, so this outer bracket provably contains the preimage of the
+    target, and it shrinks as the cap grows because finer neighbors with
+    larger denominators have narrower plateaus.  A rational target
+    representable at the cap degenerates to its own plateau.
     """
     if not (0 < float(target) < 1):
         raise DomainError(f"target must lie strictly inside (0, 1), got {target}")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    if not in_class_D(pair).in_D:
-        raise NotInClassD("counterexample search needs the strict cross inequalities")
+    th, env = _validated(pair, max_den)
     frac = target if isinstance(target, Fraction) else Fraction(float(target))
     p_lo, p_hi = farey_neighbors(frac, max_den)
-    th = thresholds(pair)
-    lo, hi = float(th.t0), float(th.t1)
 
     if p_lo == p_hi:
         param = RationalParameter.from_fraction(p_lo)
-        plat = plateau_bounds(pair, param, tol, max_den)
-        t_lo, t_hi = float(plat.t_lo), float(plat.t_hi)
+        t_lo, t_hi = _plateau(th, env, param, max_den)
         bracket = ParameterBracket(param, param, param)
     else:
-        t_lo, _ = _monotone_boundary(pair, lambda P: P < p_lo, lo, hi, tol, max_den)
-        _, t_hi = _monotone_boundary(pair, lambda P: P <= p_hi, lo, hi, tol, max_den)
+        # An ulp below the first line with slope >= p- to the last with slope <= p+.
+        lo, hi = float(th.t0), float(th.t1)
+        left = env.breaks[bisect_left(env.params, p_lo, key=RationalParameter.as_fraction)]
+        right = env.breaks[bisect_right(env.params, p_hi, key=RationalParameter.as_fraction)]
+        t_lo = min(max(math.nextafter(left, 0.0), lo), hi)
+        t_hi = max(min(right, hi), lo)
         bracket = ParameterBracket(
             RationalParameter.from_fraction(p_lo), RationalParameter.from_fraction(p_hi)
         )
 
     t_mid = math.sqrt(t_lo * t_hi)
-    interior = domination_check(pair, t_mid) is Domination.INTERIOR
     return CounterexampleResult(
-        t=t_mid, bracket=bracket, t_lo=t_lo, t_hi=t_hi, interior=interior
+        t=t_mid, bracket=bracket, t_lo=t_lo, t_hi=t_hi, interior=th.t0 < t_mid < th.t1
     )

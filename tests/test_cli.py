@@ -161,6 +161,24 @@ def test_counterexample_command(pair_file, capsys):
     assert 3 / 8 < target < 5 / 13
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["staircase", "--t-min", "0.2", "--t-max", "16", "--samples", "12", "--max-den", "0"],
+        ["plateau", "--param", "1/2", "--resolution", "1e-6", "--max-den", "0"],
+        ["counterexample", "--target", "0.38", "--tol", "1e-6", "--max-den", "0"],
+        ["counterexample", "--target", "cf:0,0", "--tol", "1e-6", "--max-den", "20"],
+        ["counterexample", "--target", "cf:0,2,-2", "--tol", "1e-6", "--max-den", "20"],
+    ],
+    ids=["staircase-cap-0", "plateau-cap-0", "counterexample-cap-0", "cf-zero", "cf-negative"],
+)
+def test_bad_flag_values_exit_1(pair_file, capsys, argv):
+    code, out, err = run(capsys, [argv[0], pair_file, *argv[1:]])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_usage_error_exits_1(pair_file, capsys):
     code, _, _ = run(capsys, ["jsr", pair_file, "--t", "1"])  # missing --max-len
     assert code == 1

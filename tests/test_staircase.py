@@ -30,12 +30,35 @@ def test_parameter_map_plateau_midpoint(reference_pair):
     assert parameter_map(reference_pair, mid, 50).parameter == RationalParameter(1, 2)
 
 
-def test_parameter_map_agrees_with_direct_search(reference_pair):
-    for t in (0.5, 1.0, 2.0, 4.0):
-        sample = parameter_map(reference_pair, t, 40)
-        param, value = sturmian_restricted_max(reference_pair, t, 40)
-        assert sample.parameter == param
+def test_parameter_map_agrees_with_direct_search(reference_pair, symmetric_pair):
+    cases = [(reference_pair, t) for t in (0.5, 1.0, 2.0, 4.0)]
+    for pair in (reference_pair, symmetric_pair):
+        th = thresholds(pair)
+        t0, t1 = float(th.t0), float(th.t1)
+        cases += [(pair, t0 * (t1 / t0) ** ((k + 0.5) / 50)) for k in range(50)]
+    for pair, t in cases:
+        sample = parameter_map(pair, t, 40)
+        param, value = sturmian_restricted_max(pair, t, 40)
+        assert sample.parameter == param, t
         assert abs(sample.value - value) <= 1e-12
+
+
+def test_plateau_midpoints_agree_with_direct_search(reference_pair):
+    checked = 0
+    for q in range(2, 41):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            param = RationalParameter(p, q)
+            try:
+                plat = plateau_bounds(reference_pair, param, 1e-6, 40)
+            except PlateauNotFound:
+                continue
+            if plat.t_hi - plat.t_lo > 1e-6:
+                mid = math.sqrt(plat.t_lo * plat.t_hi)
+                assert sturmian_restricted_max(reference_pair, mid, 40)[0] == param, mid
+                checked += 1
+    assert checked > 100
 
 
 def test_parameter_map_rejects_outside_class():
@@ -100,6 +123,40 @@ def test_plateau_not_found_when_masked(reference_pair):
     # At cap 40 the 13/34 plateau is below the value-tie resolution.
     with pytest.raises(PlateauNotFound):
         plateau_bounds(reference_pair, RationalParameter(13, 34), 1e-6, 40)
+
+
+# Narrow plateaus next to much wider neighbours.  An argmax that keeps the
+# earlier parameter on value ties within 1e-12 misreads the map near their
+# edges, so edges found by searching it read a neighbouring parameter.
+NARROW_AT_CAP_150 = [(1, 40)] + [(q - 1, q) for q in (96, 97, 98, 99, 101, 102, 107, 108, 111, 112)]
+
+
+def test_narrow_plateau_edges_read_their_parameter(reference_pair):
+    for p, q in NARROW_AT_CAP_150:
+        param = RationalParameter(p, q)
+        plat = plateau_bounds(reference_pair, param, 1e-10, 150)
+        assert plat.t_lo <= plat.t_hi
+        for t in (plat.t_lo, plat.t_hi):
+            assert parameter_map(reference_pair, t, 150).parameter == param, (param, t)
+
+
+@pytest.mark.parametrize("center, rel", [(0.346691725, 1e-8), (5.3969493, 1e-7)])
+def test_parameter_map_monotone_among_narrow_plateaus(reference_pair, center, rel):
+    ts = [center * (1 + rel * (k / 100 - 1)) for k in range(201)]
+    params = [parameter_map(reference_pair, t, 150).parameter.as_fraction() for t in ts]
+    assert len(set(params)) > 5
+    assert params == sorted(params)
+
+
+def test_zero_denominator_cap_rejected(reference_pair):
+    with pytest.raises(DomainError):
+        parameter_map(reference_pair, 0.1, 0)
+    with pytest.raises(DomainError):
+        staircase_scan(reference_pair, 0.2, 16.0, 10, 0)
+    with pytest.raises(DomainError):
+        plateau_bounds(reference_pair, RationalParameter(1, 2), 1e-6, 0)
+    with pytest.raises(DomainError):
+        counterexample_search(reference_pair, 0.38, 1e-6, 0)
 
 
 def test_counterexample_brackets_shrink(reference_pair):
