@@ -4,14 +4,19 @@ The log of the joint spectral radius of (A0, t*A1) is the supremum over
 finite binary words w of (1/|w|) log r(A_t(w)).  The spectral radius of a
 product is a class function of the word's necklace, so the brute force
 enumerates one representative per primitive necklace (Lyndon words, via
-Duval's generator) instead of all 2^n words.  The ergodic-average route
-evaluates the induced function along the periodic orbit of the word and
-must agree with the product route; the two sides are kept independent so
-each can check the other.
+Duval's generator) instead of all 2^n words.  Consecutive Lyndon words share
+long prefixes, so the walk keeps a stack of normalized prefix products and
+multiplies only the letters past the common prefix.  The ergodic-average
+route evaluates the induced function along the periodic orbit of the word
+and must agree with the product route; the two sides are kept independent
+so each can check the other.
 
 Upper bounds come from the entrywise sum norm, which is submultiplicative,
 so every product length yields a valid bound and the minimum over lengths
-is reported.
+is reported.  For positive matrices the sum norm of A_w is 1^T A_w 1, so
+only the row vectors 1^T A_w matter, and of those only the vertices of the
+upper-right convex hull can carry a level maximum now or after any right
+extension.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterator, Optional
 from .classify import in_class_C, in_class_D
 from .dynamics import InducedSystem, apply_T, f_eval, periodic_point
 from .errors import EmptyWord, NonPositiveMatrix, NonPositiveScale, NotInClassC, NotInClassD
-from .matrices import MatrixPair, word_value
+from .matrices import Matrix2, MatrixPair, normalised, spectral_radius, word_value
 from .scalar import Number
 from .words import RationalParameter, is_balanced, mechanical_word
 
@@ -49,29 +54,21 @@ def lyndon_words(max_len: int) -> Iterator[str]:
     """All binary Lyndon words of length <= max_len in lexicographic order.
 
     Lyndon words are exactly the lexicographically least representatives of
-    the primitive necklaces.
+    the primitive necklaces.  The order is strictly increasing, and there
+    are none when max_len < 1.
     """
-    w = [0]
-    yield "0"
-    while True:
-        w = [w[i % len(w)] for i in range(max_len)]
-        while w and w[-1] == 1:
-            w.pop()
-        if not w:
-            return
-        w[-1] = 1
-        yield "".join(map(str, w))
+    if max_len < 1:
+        return
+    w = "0"
+    while w:
+        yield w
+        # Duval: repeat w out to max_len, drop trailing 1s, raise the last 0.
+        w = (w * (max_len // len(w) + 1))[:max_len].rstrip("1")
+        if w:
+            w = w[:-1] + "1"
 
 
-def jsr_lower_bruteforce(
-    pair: MatrixPair, t: Number, max_len: int, compute_upper: bool = True
-) -> JsrEstimate:
-    """Maximize the per-letter log spectral radius over primitive necklaces.
-
-    Ties within 1e-12 go to the lexicographically least representative.
-    The parameter field is the reduced letter frequency of the winner when
-    that word is balanced, and None otherwise.
-    """
+def _check_bruteforce_args(pair: MatrixPair, t: Number, max_len: int) -> None:
     if not (pair.A0.is_positive() and pair.A1.is_positive()):
         raise NonPositiveMatrix("brute force needs positive entries")
     if not t > 0:
@@ -79,17 +76,45 @@ def jsr_lower_bruteforce(
     if max_len < 1:
         raise EmptyWord("max_len must be at least 1")
 
-    fpair = pair.to_float()
+
+def jsr_lower_bruteforce(
+    pair: MatrixPair, t: Number, max_len: int, compute_upper: bool = True
+) -> JsrEstimate:
+    """Maximize the per-letter log spectral radius over primitive necklaces.
+
+    Ties within 1e-12 go to the lexicographically least representative,
+    which is the first one the walk meets.  Each value has the same bits as
+    word_value: the prefix stack takes the same normalized steps as
+    word_product.  The parameter field is the reduced letter frequency of
+    the winner when that word is balanced, and None otherwise.
+    """
+    _check_bruteforce_args(pair, t, max_len)
+    factors = {"0": pair.A0.to_float(), "1": pair.A1.to_float()}
+    log_t = math.log(float(t))
+    stack: list[tuple[Matrix2, float]] = []  # normalized products of prev[:1], prev[:2], ...
+    prev = ""
     best_value = -math.inf
     best_word = ""
     for word in lyndon_words(max_len):
-        value = word_value(fpair, float(t), word)
+        # Duval's successor keeps the previous word minus its last letter,
+        # or all of it, so the first comparison holds.
+        k = min(len(prev), len(word) - 1)
+        while word[:k] != prev[:k]:
+            k -= 1
+        del stack[k:]
+        for ch in word[k:]:
+            step = factors[ch]
+            if stack:
+                prod, log_scale = stack[-1]
+                stack.append(normalised(prod.mul(step), log_scale))
+            else:
+                stack.append(normalised(step, 0.0))
+        prev = word
+        prod, log_scale = stack[-1]
+        log_scale += word.count("1") * log_t
+        value = (math.log(spectral_radius(prod)) + log_scale) / len(word)
         if value > best_value + VALUE_TIE_TOL:
             best_value, best_word = value, word
-        elif abs(value - best_value) <= VALUE_TIE_TOL and (
-            not best_word or word < best_word
-        ):
-            best_word = word
 
     param = None
     if is_balanced(best_word):
@@ -107,35 +132,50 @@ def jsr_lower_bruteforce(
     )
 
 
+def _upper_right_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Vertices of the convex hull that maximize some positive functional.
+
+    The chain runs from the highest point (rightmost among ties) to the
+    rightmost (highest among ties), so it starts at the first point not
+    lexicographically below the highest; collinear and interior points are
+    dropped.
+    """
+    top = max(points, key=lambda v: (v[1], v[0]))
+    hull: list[tuple[float, float]] = []
+    for v in sorted(v for v in points if v >= top):
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            if (bx - ax) * (v[1] - ay) - (by - ay) * (v[0] - ax) < 0:
+                break
+            hull.pop()
+        hull.append(v)
+    return hull
+
+
 def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
     """min over n <= max_len of (1/n) log max over |w| = n of the sum norm.
 
-    The entrywise absolute-sum norm is submultiplicative, so every length
-    gives a valid upper bound.  Products are kept normalized with an
-    accumulated log scale; the level-n population is built from level n-1
-    by appending either generator.
+    The entrywise sum norm is submultiplicative, so every length gives a
+    valid upper bound.  For positive matrices it equals 1^T A_w 1, and the
+    level-n row vectors 1^T A_w come from level n-1 by right multiplication
+    with A0 or t*A1.  A vector off the upper-right convex hull of its level
+    never maximizes a positive functional, and right extensions only apply
+    positive functionals, so each level keeps just those hull vertices, with
+    one common log scale per level.
     """
-    if max_len < 1:
-        raise EmptyWord("max_len must be at least 1")
-    if not t > 0:
-        raise NonPositiveScale(f"t must be positive, got {t}")
-    A0 = pair.A0.to_float()
-    A1 = pair.A1.to_float().scaled(float(t))
-    level = [(A0, 0.0), (A1, 0.0)]
+    _check_bruteforce_args(pair, t, max_len)
+    gens = (pair.A0.to_float(), pair.A1.to_float().scaled(float(t)))
+    level = _upper_right_hull([(A.a + A.c, A.b + A.d) for A in gens])
+    log_scale = 0.0
     best = math.inf
     for n in range(1, max_len + 1):
-        worst = max(
-            math.log(abs(M.a) + abs(M.b) + abs(M.c) + abs(M.d)) + s for M, s in level
-        )
-        best = min(best, worst / n)
+        best = min(best, (math.log(max(x + y for x, y in level)) + log_scale) / n)
         if n < max_len:
-            nxt = []
-            for M, s in level:
-                for B in (A0, A1):
-                    P = M.mul(B)
-                    m = P.max_abs_entry()
-                    nxt.append((P.scaled(1.0 / m), s + math.log(m)))
-            level = nxt
+            nxt = [(x * A.a + y * A.c, x * A.b + y * A.d) for x, y in level for A in gens]
+            m = max(max(v) for v in nxt)
+            r = 1.0 / m
+            level = _upper_right_hull([(x * r, y * r) for x, y in nxt])
+            log_scale += math.log(m)
     return best
 
 

@@ -210,41 +210,44 @@ def q_poly_eval(A: Matrix2, z: Number) -> Number:
     return alpha * z * z + beta * z - b
 
 
+def normalised(prod: Matrix2, log_scale: float) -> tuple[Matrix2, float]:
+    """One float normalization step: prod / m and log_scale + log m, m = max |entry|.
+
+    The division is a multiply by the reciprocal, so every caller that walks
+    products with this step gets the same bits as word_product.
+    """
+    m = prod.max_abs_entry()
+    return prod.scaled(1.0 / m), log_scale + math.log(m)
+
+
 def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Number]:
     """Product over a binary word with symbol 0 -> A0 and symbol 1 -> t*A1.
 
     Returns a normalized matrix M and a log scale s with true product equal
     to e^s * M.  On the exact rational path (all entries and t rational) no
     normalization happens, t is folded into the product, and s = 0.  On the
-    float path the base matrices are multiplied with per-step division by
-    the maximum entry, and the scale of t enters only through s, so scaling
+    float path the base matrices are multiplied with a `normalised` step
+    after each letter, and the scale of t enters only through s, so scaling
     identities hold to the last float digit.
     """
     if not word:
         raise EmptyWord("word product needs a non-empty word")
-    if any(ch not in "01" for ch in word):
+    if not set(word) <= {"0", "1"}:
         raise DomainError(f"word must be over {{0,1}}: {word!r}")
     if not t > 0:
         raise NonPositiveScale(f"t must be positive, got {t}")
 
     if pair.is_exact() and is_exact(t):
-        factors = (pair.A0, pair.A1.scaled(Fraction(t)))
-        prod = factors[int(word[0])]
+        factors = {"0": pair.A0, "1": pair.A1.scaled(Fraction(t))}
+        prod = factors[word[0]]
         for ch in word[1:]:
-            prod = prod.mul(factors[int(ch)])
+            prod = prod.mul(factors[ch])
         return prod, Fraction(0)
 
-    factors = (pair.A0.to_float(), pair.A1.to_float())
-    prod = factors[int(word[0])]
-    log_scale = 0.0
-    m = prod.max_abs_entry()
-    prod = prod.scaled(1.0 / m)
-    log_scale += math.log(m)
+    factors = {"0": pair.A0.to_float(), "1": pair.A1.to_float()}
+    prod, log_scale = normalised(factors[word[0]], 0.0)
     for ch in word[1:]:
-        prod = prod.mul(factors[int(ch)])
-        m = prod.max_abs_entry()
-        prod = prod.scaled(1.0 / m)
-        log_scale += math.log(m)
+        prod, log_scale = normalised(prod.mul(factors[ch]), log_scale)
     ones = word.count("1")
     log_scale += ones * math.log(float(t))
     return prod, log_scale

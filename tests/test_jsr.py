@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmjsr import (
     RationalParameter,
@@ -13,10 +15,13 @@ from sturmjsr import (
     jsr_upper_norm,
     sturmian_restricted_max,
     sturmian_value,
+    thresholds,
 )
-from sturmjsr.errors import NotInClassD
-from sturmjsr.jsr import lyndon_words
-from sturmjsr.matrices import word_value
+from sturmjsr.errors import NonPositiveMatrix, NotInClassD
+from sturmjsr.jsr import VALUE_TIE_TOL, lyndon_words
+from sturmjsr.matrices import Matrix2, MatrixPair, spectral_radius, word_value
+
+from conftest import random_positive_matrix
 
 
 def _necklace_min(word: str) -> str:
@@ -44,6 +49,17 @@ def test_lyndon_enumeration_matches_bruteforce():
 
 def test_lyndon_count_through_twelve():
     assert sum(1 for _ in lyndon_words(12)) == 747
+
+
+def test_lyndon_words_strictly_increasing():
+    # So the first word to reach a value is the lexicographically least one.
+    words = list(lyndon_words(12))
+    assert all(a < b for a, b in zip(words, words[1:]))
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_lyndon_words_empty_below_length_one(max_len):
+    assert list(lyndon_words(max_len)) == []
 
 
 def test_bruteforce_dominated_regimes(reference_pair):
@@ -86,6 +102,81 @@ def test_bounds_monotone_in_length(reference_pair):
     assert lowers[0] <= lowers[1] + 1e-12 and lowers[1] <= lowers[2] + 1e-12
     uppers = [jsr_upper_norm(reference_pair, 1, n) for n in (4, 8, 12)]
     assert uppers[0] >= uppers[1] - 1e-12 and uppers[1] >= uppers[2] - 1e-12
+
+
+def _bracket_cases(reference_pair, symmetric_pair):
+    """(pair, t) below t0, inside (t0, t1) and above t1, plus random float pairs."""
+    cases = []
+    for pair in (reference_pair, symmetric_pair):
+        th = thresholds(pair)
+        t0, t1 = float(th.t0), float(th.t1)
+        cases += [(pair, t) for t in (t0 / 2, t0 * 1.01, math.sqrt(t0 * t1), t1 * 0.99, t1 * 2)]
+    rng = random.Random(29)
+    for _ in range(4):
+        pair = MatrixPair(random_positive_matrix(rng), random_positive_matrix(rng))
+        ratio = float(spectral_radius(pair.A0) / spectral_radius(pair.A1))
+        cases += [(pair, ratio * s) for s in (0.01, 0.9, 1.1, 100.0)]
+    return cases
+
+
+def test_lower_walk_matches_word_value_route(reference_pair, symmetric_pair):
+    for pair, t in _bracket_cases(reference_pair, symmetric_pair):
+        fpair = pair.to_float()
+        for n in range(1, 13):
+            best_value, best_word = -math.inf, ""
+            for word in lyndon_words(n):
+                value = word_value(fpair, t, word)
+                if value > best_value + VALUE_TIE_TOL:
+                    best_value, best_word = value, word
+            est = jsr_lower_bruteforce(pair, t, n, compute_upper=False)
+            assert (est.lower, est.argmax_word) == (best_value, best_word), (pair, t, n)
+
+
+def _exhaustive_sum_norm_bounds(pair, t, max_len):
+    """Sum-norm bound over all 2^n products of each length n <= max_len."""
+    gens = (pair.A0.to_float(), pair.A1.to_float().scaled(float(t)))
+    level = [(A, 0.0) for A in gens]
+    best, bounds = math.inf, []
+    for n in range(1, max_len + 1):
+        best = min(best, max(math.log(sum(M.entries())) + s for M, s in level) / n)
+        bounds.append(best)
+        nxt = []
+        for M, s in level:
+            for B in gens:
+                P = M.mul(B)
+                m = P.max_abs_entry()
+                nxt.append((P.scaled(1.0 / m), s + math.log(m)))
+        level = nxt
+    return bounds
+
+
+def test_hull_bound_matches_exhaustive_population(reference_pair, symmetric_pair):
+    for pair, t in _bracket_cases(reference_pair, symmetric_pair)[::2]:
+        for n, want in enumerate(_exhaustive_sum_norm_bounds(pair, t, 12), start=1):
+            assert abs(jsr_upper_norm(pair, t, n) - want) <= 1e-12, (pair, t, n)
+
+
+_entry = st.floats(0.01, 100.0)
+
+
+@settings(deadline=None)
+@given(
+    entries=st.tuples(*[_entry] * 8),
+    t=st.floats(1e-3, 1e3),
+    max_len=st.integers(1, 10),
+)
+def test_bracket_property(entries, t, max_len):
+    pair = MatrixPair(Matrix2(*entries[:4]), Matrix2(*entries[4:]))
+    est = jsr_lower_bruteforce(pair, t, max_len)
+    assert est.lower <= est.upper + 1e-12
+    w = est.argmax_word
+    assert len(w) <= max_len and _is_primitive(w) and w == _necklace_min(w)
+
+
+def test_upper_norm_rejects_signed_entries():
+    signed = MatrixPair(Matrix2(1, -0.5, 0.3, 1), Matrix2(1, 0.2, 0.1, 0.9))
+    with pytest.raises(NonPositiveMatrix):
+        jsr_upper_norm(signed, 1, 6)
 
 
 def test_upper_norm_smoke_commuting_like():
