@@ -5,11 +5,11 @@ finite binary words w of (1/|w|) log r(A_t(w)).  The spectral radius of a
 product is a class function of the word's necklace, so the brute force
 enumerates one representative per primitive necklace (Lyndon words, via
 Duval's generator) instead of all 2^n words.  Consecutive Lyndon words share
-long prefixes, so the walk keeps a stack of normalized prefix products and
-multiplies only the letters past the common prefix.  The ergodic-average
-route evaluates the induced function along the periodic orbit of the word
-and must agree with the product route; the two sides are kept independent
-so each can check the other.
+long prefixes, and matrices.word_values multiplies only the letters past
+the prefix each word shares with the one before.  The ergodic-average route
+evaluates the induced function along the periodic orbit of the word and
+must agree with the product route; the two sides are kept independent so
+each can check the other.
 
 Upper bounds come from the entrywise sum norm, which is submultiplicative,
 so every product length yields a valid bound and the minimum over lengths
@@ -21,14 +21,22 @@ extension.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .classify import in_class_C, in_class_D
 from .dynamics import InducedSystem, apply_T, f_eval, periodic_point
-from .errors import EmptyWord, NonPositiveMatrix, NonPositiveScale, NotInClassC, NotInClassD
-from .matrices import Matrix2, MatrixPair, normalised, spectral_radius, word_value
+from .errors import (
+    DomainError,
+    EmptyWord,
+    NonPositiveMatrix,
+    NonPositiveScale,
+    NotInClassC,
+    NotInClassD,
+)
+from .matrices import MatrixPair, word_value, word_values
 from .scalar import Number
 from .words import RationalParameter, is_balanced, mechanical_word
 
@@ -84,35 +92,15 @@ def jsr_lower_bruteforce(
 
     Ties within 1e-12 go to the lexicographically least representative,
     which is the first one the walk meets.  Each value has the same bits as
-    word_value: the prefix stack takes the same normalized steps as
-    word_product.  The parameter field is the reduced letter frequency of
+    word_value, since word_values and word_product take the same
+    normalized steps.  The parameter field is the reduced letter frequency of
     the winner when that word is balanced, and None otherwise.
     """
     _check_bruteforce_args(pair, t, max_len)
-    factors = {"0": pair.A0.to_float(), "1": pair.A1.to_float()}
-    log_t = math.log(float(t))
-    stack: list[tuple[Matrix2, float]] = []  # normalized products of prev[:1], prev[:2], ...
-    prev = ""
     best_value = -math.inf
     best_word = ""
-    for word in lyndon_words(max_len):
-        # Duval's successor keeps the previous word minus its last letter,
-        # or all of it, so the first comparison holds.
-        k = min(len(prev), len(word) - 1)
-        while word[:k] != prev[:k]:
-            k -= 1
-        del stack[k:]
-        for ch in word[k:]:
-            step = factors[ch]
-            if stack:
-                prod, log_scale = stack[-1]
-                stack.append(normalised(prod.mul(step), log_scale))
-            else:
-                stack.append(normalised(step, 0.0))
-        prev = word
-        prod, log_scale = stack[-1]
-        log_scale += word.count("1") * log_t
-        value = (math.log(spectral_radius(prod)) + log_scale) / len(word)
+    words, walked = itertools.tee(lyndon_words(max_len))
+    for word, value in zip(words, word_values(pair, t, walked)):
         if value > best_value + VALUE_TIE_TOL:
             best_value, best_word = value, word
 
@@ -222,7 +210,7 @@ def sturmian_restricted_max(
     if not in_class_D(pair).in_D:
         raise NotInClassD("restricted Sturmian search needs the strict cross inequalities")
     if max_den < 1:
-        raise EmptyWord("max_den must be at least 1")
+        raise DomainError(f"max_den must be at least 1, got {max_den}")
     fpair = pair.to_float()
     tf = float(t)
     best: tuple[RationalParameter, float] | None = None

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .errors import DomainError, EmptyWord, NonPositiveMatrix, NonPositiveScale
 from .scalar import Number, is_exact, sqrt_number
@@ -56,12 +57,7 @@ class Matrix2:
         return Matrix2(s * self.a, s * self.b, s * self.c, s * self.d)
 
     def mul(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Matrix2(*_product(self.entries(), other.entries()))
 
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         return self.mul(other)
@@ -91,6 +87,16 @@ class Matrix2:
 
     def max_abs_entry(self) -> Number:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+
+
+Entries = tuple[Number, Number, Number, Number]
+
+
+def _product(x: Entries, y: Entries) -> Entries:
+    """Row-major entries of the matrix product x y."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 @dataclass(frozen=True)
@@ -177,10 +183,10 @@ def projective_data(A: Matrix2) -> ProjectiveData:
     return data
 
 
-def spectral_radius(A: Matrix2) -> Number:
-    """Maximum eigenvalue modulus of an arbitrary real 2x2 matrix."""
-    tr = A.trace()
-    det = A.det()
+def _radius(a: Number, b: Number, c: Number, d: Number) -> Number:
+    """Maximum eigenvalue modulus of the real matrix (a, b; c, d)."""
+    tr = a + d
+    det = a * d - b * c
     disc = tr * tr - 4 * det
     if disc < 0:
         # Complex conjugate pair: common modulus sqrt(det), with det > 0 forced.
@@ -189,6 +195,11 @@ def spectral_radius(A: Matrix2) -> Number:
     lo = (tr - root) / 2
     hi = (tr + root) / 2
     return max(abs(lo), abs(hi))
+
+
+def spectral_radius(A: Matrix2) -> Number:
+    """Maximum eigenvalue modulus of an arbitrary real 2x2 matrix."""
+    return _radius(*A.entries())
 
 
 def eigenvalues(A: Matrix2) -> tuple[Number, Number]:
@@ -210,14 +221,60 @@ def q_poly_eval(A: Matrix2, z: Number) -> Number:
     return alpha * z * z + beta * z - b
 
 
-def normalised(prod: Matrix2, log_scale: float) -> tuple[Matrix2, float]:
+def _normalised(prod: Entries, log_scale: float) -> tuple[Entries, float]:
     """One float normalization step: prod / m and log_scale + log m, m = max |entry|.
 
-    The division is a multiply by the reciprocal, so every caller that walks
-    products with this step gets the same bits as word_product.
+    The division is a multiply by the reciprocal.  Every float product in
+    this module takes this step after each letter, which is what makes the
+    prefix-shared walk and word_product agree bit for bit.
     """
-    m = prod.max_abs_entry()
-    return prod.scaled(1.0 / m), log_scale + math.log(m)
+    a, b, c, d = prod
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    r = 1.0 / m
+    return (r * a, r * b, r * c, r * d), log_scale + math.log(m)
+
+
+def _float_products(
+    pair: MatrixPair, t: Number, words: Iterable[str]
+) -> Iterator[tuple[str, Entries, float]]:
+    """Each non-empty binary word with its normalized float product and log scale.
+
+    A stack holds the normalized products of the previous word's prefixes;
+    only the letters past the prefix it shares with the next word are
+    multiplied.  Words in rising lexicographic order share the most.  Each
+    prefix is stepped the same way whatever word it came from, so a
+    product's bits do not depend on the words walked before it.
+    """
+    factors = {"0": pair.A0.to_float().entries(), "1": pair.A1.to_float().entries()}
+    log_t = math.log(float(t))
+    stack: list[tuple[Entries, float]] = []  # prev[:1], prev[:2], ...
+    prev = ""
+    for word in words:
+        n = min(len(prev), len(word))
+        # Read as binary numbers, the first n letters first differ at the
+        # highest set bit of their XOR.
+        k = n - (int(word[:n], 2) ^ int(prev[:n], 2)).bit_length() if n else 0
+        del stack[k:]
+        for ch in word[k:]:
+            if stack:
+                prod, log_scale = stack[-1]
+                stack.append(_normalised(_product(prod, factors[ch]), log_scale))
+            else:
+                stack.append(_normalised(factors[ch], 0.0))
+        prev = word
+        prod, log_scale = stack[-1]
+        yield word, prod, log_scale + word.count("1") * log_t
+
+
+def word_values(pair: MatrixPair, t: Number, words: Iterable[str]) -> Iterator[float]:
+    """word_value(pair, t, w) for each word w, bit for bit, on the float path.
+
+    The words must be non-empty and over {0, 1}, and t positive; callers
+    check.  Each word costs one multiply per letter past the prefix it
+    shares with the word before, so feed them in rising lexicographic order.
+    """
+    for word, prod, log_scale in _float_products(pair, t, words):
+        yield (math.log(_radius(*prod)) + log_scale) / len(word)
 
 
 def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Number]:
@@ -226,9 +283,10 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
     Returns a normalized matrix M and a log scale s with true product equal
     to e^s * M.  On the exact rational path (all entries and t rational) no
     normalization happens, t is folded into the product, and s = 0.  On the
-    float path the base matrices are multiplied with a `normalised` step
-    after each letter, and the scale of t enters only through s, so scaling
-    identities hold to the last float digit.
+    float path the base matrices are multiplied with a normalization step
+    (divide by the largest |entry|, add its log to s) after each letter, and
+    the scale of t enters only through s, so scaling identities hold to the
+    last float digit.
     """
     if not word:
         raise EmptyWord("word product needs a non-empty word")
@@ -244,13 +302,8 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
             prod = prod.mul(factors[ch])
         return prod, Fraction(0)
 
-    factors = {"0": pair.A0.to_float(), "1": pair.A1.to_float()}
-    prod, log_scale = normalised(factors[word[0]], 0.0)
-    for ch in word[1:]:
-        prod, log_scale = normalised(prod.mul(factors[ch]), log_scale)
-    ones = word.count("1")
-    log_scale += ones * math.log(float(t))
-    return prod, log_scale
+    _, prod, log_scale = next(_float_products(pair, t, (word,)))
+    return Matrix2(*prod), log_scale
 
 
 def word_value(pair: MatrixPair, t: Number, word: str) -> float:

@@ -40,11 +40,13 @@ def exact_sqrt(x: Fraction) -> Fraction | None:
 
 def sqrt_number(x: Number) -> Number:
     """Exact square root when the input is a perfect rational square, float otherwise."""
-    if isinstance(x, EXACT_TYPES):
-        root = exact_sqrt(Fraction(x))
-        if root is not None:
-            return root
+    # Floats first: the Fraction check goes through ABCMeta and costs several
+    # times the square root itself.
+    if isinstance(x, float) or not isinstance(x, EXACT_TYPES):
         return math.sqrt(x)
+    root = exact_sqrt(Fraction(x))
+    if root is not None:
+        return root
     return math.sqrt(x)
 
 

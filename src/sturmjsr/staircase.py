@@ -13,6 +13,7 @@ plateau, which is what makes the counterexample search's bracket rigorous.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -22,9 +23,15 @@ from functools import lru_cache
 from .certify import ThresholdPair, thresholds
 from .classify import pair_report
 from .errors import DomainError, NotInClassD, PlateauNotFound
-from .matrices import Matrix2, MatrixPair, spectral_radius, word_value
+from .matrices import Matrix2, MatrixPair, spectral_radius, word_values
 from .scalar import Number
-from .words import ParameterBracket, RationalParameter, farey_neighbors, mechanical_word
+from .words import (
+    ParameterBracket,
+    RationalParameter,
+    farey_neighbors,
+    mechanical_word,
+    stern_brocot_words,
+)
 
 # Envelope segments narrower than this in t are merged into their neighbours.
 SEGMENT_FLOOR = 1e-12
@@ -75,20 +82,17 @@ class _Envelope:
 def _sturmian_table(
     entries: tuple[float, ...], max_den: int
 ) -> list[tuple[int, int, float, float]]:
-    """(p, q, value at t = 1, p/q) per reduced parameter, by rising q then p.
+    """(p, q, value at t = 1, p/q) per reduced parameter, by rising p/q.
 
     Scaling the convex member by t shifts a word's per-letter value by
     exactly (ones/length) log t, so one table at t = 1 serves every scale.
+    The mechanical words come in rising lexicographic order, so the walk
+    shares their prefix products; each value has word_value's bits.
     """
     pair = MatrixPair(Matrix2(*entries[:4]), Matrix2(*entries[4:]))
-    rows = []
-    for q in range(1, max_den + 1):
-        for p in range(q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            word = mechanical_word(RationalParameter(p, q))
-            rows.append((p, q, word_value(pair, 1.0, word), p / q))
-    return rows
+    params, words = itertools.tee(stern_brocot_words(max_den))
+    values = word_values(pair, 1.0, (word for _, _, word in words))
+    return [(p, q, value, p / q) for (p, q, _), value in zip(params, values)]
 
 
 @lru_cache(maxsize=32)
@@ -101,7 +105,7 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
     """
     meet = lambda lo, up: (lo[2] - up[2]) / (up[3] - lo[3])  # noqa: E731
     hull, starts = [], []  # lines, and the log t at which each takes over
-    for row in sorted(_sturmian_table(entries, max_den), key=lambda r: r[3]):
+    for row in _sturmian_table(entries, max_den):
         while hull and meet(hull[-1], row) <= starts[-1]:
             del hull[-1], starts[-1]
         starts.append(meet(hull[-1], row) if hull else -math.inf)

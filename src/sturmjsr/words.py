@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, EmptyWord, PrefixTooShort
 from .dynamics import InducedSystem, periodic_point
@@ -59,6 +59,30 @@ def mechanical_word(param: RationalParameter) -> str:
     """Lower mechanical word of slope p/q with intercept zero."""
     p, q = param.p, param.q
     return "".join(str((k + 1) * p // q - k * p // q) for k in range(q))
+
+
+def stern_brocot_words(max_den: int) -> Iterator[tuple[int, int, str]]:
+    """(p, q, mechanical word of p/q) for every reduced p/q in [0, 1], q <= max_den.
+
+    In rising p/q order, which is also strictly increasing lexicographic
+    order of the words.  A Stern-Brocot mediant's word is the word of its
+    left parent followed by that of its right parent, so each word is one
+    concatenation.  The descent is iterative, since the branch toward 0 is
+    max_den levels deep: the stack holds the right ends of the intervals
+    still open, and the last value yielded is the left end of the top one.
+    """
+    if max_den < 1:
+        return
+    lo = (0, 1, "0")
+    stack = [(1, 1, "1")]
+    yield lo
+    while stack:
+        hi = stack[-1]
+        if lo[1] + hi[1] <= max_den:
+            stack.append((lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2]))
+        else:
+            lo = stack.pop()
+            yield lo
 
 
 def is_balanced(word: str) -> bool:

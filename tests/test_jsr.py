@@ -17,7 +17,7 @@ from sturmjsr import (
     sturmian_value,
     thresholds,
 )
-from sturmjsr.errors import NonPositiveMatrix, NotInClassD
+from sturmjsr.errors import DomainError, NonPositiveMatrix, NotInClassD
 from sturmjsr.jsr import VALUE_TIE_TOL, lyndon_words
 from sturmjsr.matrices import Matrix2, MatrixPair, spectral_radius, word_value
 
@@ -246,6 +246,12 @@ def test_restricted_max_rejects_outside_class():
 
     with pytest.raises(NotInClassD):
         sturmian_restricted_max(d2_pair(F(1, 2), F(3)), 1, 10)
+
+
+@pytest.mark.parametrize("max_den", [0, -2])
+def test_restricted_max_rejects_empty_denominator_cap(reference_pair, max_den):
+    with pytest.raises(DomainError):
+        sturmian_restricted_max(reference_pair, 1, max_den)
 
 
 def test_unbalanced_values_below_sturmian_max(reference_pair):

@@ -14,7 +14,7 @@ from sturmjsr import (
     word_product,
 )
 from sturmjsr.errors import DomainError, EmptyWord, NonPositiveMatrix, NonPositiveScale
-from sturmjsr.matrices import word_value
+from sturmjsr.matrices import word_value, word_values
 
 from conftest import random_positive_matrix
 
@@ -220,6 +220,19 @@ def test_word_value_scaling_shift(reference_pair):
         t = rng.uniform(0.2, 5.0)
         shift = word.count("1") / n * math.log(t)
         assert abs(word_value(fpair, t, word) - word_value(fpair, 1.0, word) - shift) <= 1e-12
+
+
+def test_word_values_any_order_match_word_value(reference_pair, symmetric_pair):
+    # Shuffled, with repeats and words that are prefixes of the word before,
+    # so the walk pops to every kind of common prefix.
+    rng = random.Random(18)
+    words = ["".join(rng.choice("01") for _ in range(rng.randint(1, 8))) for _ in range(200)]
+    words += words[:50] + [w[: len(w) // 2 + 1] for w in words[:50]]
+    rng.shuffle(words)
+    for pair in (reference_pair.to_float(), symmetric_pair.to_float()):
+        for t in (0.3, 1.0, 2.5):
+            got = [v.hex() for v in word_values(pair, t, iter(words))]
+            assert got == [word_value(pair, t, w).hex() for w in words]
 
 
 def test_word_product_exact_path_scales_matrices(reference_pair):

@@ -1,15 +1,19 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from sturmjsr import (
     Domination,
+    Matrix2,
+    MatrixPair,
     RationalParameter,
     counterexample_search,
     domination_check,
     gamma_of_t,
     induced_system,
+    mechanical_word,
     parameter_map,
     plateau_bounds,
     staircase_scan,
@@ -17,6 +21,10 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.errors import DomainError, NotInClassD, PlateauNotFound, PrefixTooShort
+from sturmjsr.matrices import spectral_radius
+from sturmjsr.staircase import _sturmian_table
+
+from conftest import random_positive_matrix
 
 
 def test_parameter_map_regimes(reference_pair):
@@ -59,6 +67,48 @@ def test_plateau_midpoints_agree_with_direct_search(reference_pair):
                 assert sturmian_restricted_max(reference_pair, mid, 40)[0] == param, mid
                 checked += 1
     assert checked > 100
+
+
+def _word_value_oracle(factors: dict, word: str) -> float:
+    """Per-letter log spectral radius at t = 1, one word at a time.
+
+    Each letter multiplies, then divides by the largest |entry| as a
+    reciprocal multiply and adds its log.  The product is spelled out
+    because Matrix2.mul shares its formula with the walk under test.
+    """
+    prod, log_scale = None, 0.0
+    for ch in word:
+        f = factors[ch]
+        if prod is not None:
+            f = Matrix2(
+                prod.a * f.a + prod.b * f.c,
+                prod.a * f.b + prod.b * f.d,
+                prod.c * f.a + prod.d * f.c,
+                prod.c * f.b + prod.d * f.d,
+            )
+        m = f.max_abs_entry()
+        prod, log_scale = f.scaled(1.0 / m), log_scale + math.log(m)
+    return (math.log(spectral_radius(prod)) + log_scale) / len(word)
+
+
+def test_sturmian_table_bits_match_per_word_products(reference_pair, symmetric_pair):
+    rng = random.Random(20260)
+    pairs = [reference_pair, symmetric_pair, reference_pair.to_float()] + [
+        MatrixPair(random_positive_matrix(rng), random_positive_matrix(rng)) for _ in range(3)
+    ]
+    for pair in pairs:
+        fpair = pair.to_float()
+        factors = {"0": fpair.A0, "1": fpair.A1}
+        rows = _sturmian_table(fpair.A0.entries() + fpair.A1.entries(), 60)
+        assert [F(p, q) for p, q, _, _ in rows] == sorted(F(p, q) for p, q, _, _ in rows)
+        got = {(p, q): value.hex() for p, q, value, _ in rows}
+        want = {
+            (p, q): _word_value_oracle(factors, mechanical_word(RationalParameter(p, q))).hex()
+            for q in range(1, 61)
+            for p in range(q + 1)
+            if math.gcd(p, q) == 1
+        }
+        assert got == want
 
 
 def test_parameter_map_rejects_outside_class():

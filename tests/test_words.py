@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from sturmjsr import (
 )
 from sturmjsr.dynamics import branch_of
 from sturmjsr.errors import DomainError, PrefixTooShort
-from sturmjsr.words import farey_neighbors, rotations
+from sturmjsr.words import farey_neighbors, rotations, stern_brocot_words
 
 
 def RP(p, q):
@@ -48,6 +49,22 @@ def test_mechanical_words_count_and_balance():
             w = mechanical_word(RP(p, q))
             assert len(w) == q and w.count("1") == p
             assert is_balanced(w)
+
+
+def test_stern_brocot_words_are_the_mechanical_words():
+    for cap, count in ((40, 491), (150, 6859)):
+        rows = list(stern_brocot_words(cap))
+        assert len(rows) == count
+        assert sorted((q, p) for p, q, _ in rows) == [
+            (q, p) for q in range(1, cap + 1) for p in range(q + 1) if math.gcd(p, q) == 1
+        ]
+        assert all(w == mechanical_word(RP(p, q)) for p, q, w in rows)
+        for (p, q, w), (p2, q2, w2) in zip(rows, rows[1:]):
+            assert w < w2 and F(p, q) < F(p2, q2)
+    # The branch toward 0 is max_den levels deep, past the recursion limit.
+    first = list(itertools.islice(stern_brocot_words(2000), 3))
+    assert first == [(0, 1, "0"), (1, 2000, "0" * 1999 + "1"), (1, 1999, "0" * 1998 + "1")]
+    assert list(stern_brocot_words(0)) == []
 
 
 def test_balance_judgments():
