@@ -24,7 +24,8 @@ For the extremal intervals everything is closed-form:
 
 and the scaled pair is dominated by A0 for t <= t0 and by t*A1 for t >= t1;
 in between, the matching coordinate c*(t) solves Delta(c) = log of the
-endpoint ratio (a0+c0)/((b1+d1) t), found by bracketed root finding.
+endpoint ratio (a0+c0)/((b1+d1) t), found by Brent's bracketed root finder
+(R. P. Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy.optimize import brentq
 
 from .classify import in_class_C, in_class_D
 from .dynamics import (
@@ -60,6 +59,7 @@ from .scalar import Number, is_exact
 
 FLAT_TOL = 1e-6
 MARGIN_TOL = 1e-8
+BRENT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -292,13 +292,72 @@ def endpoint_ratio_log(pair: MatrixPair, t: Number) -> float:
     return math.log(float((a0 + c0) / (b1 + d1))) - math.log(float(t))
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float):
+    """Root of f in the bracket [a, b], given fa = f(a) and fb = f(b).
+
+    Brent's zeroin, step for step as in the classic C routine (the one
+    behind scipy's brentq), so the root carries the same bits: inverse
+    quadratic extrapolation or secant interpolation where that step is short
+    enough, bisection otherwise, and never a move below the tolerance delta.
+    Returns (root, f(root), evaluations of f made here).  A non-finite value
+    or BRENT_MAX_ITER iterations without convergence raise NoConvergence.
+    """
+    if not (math.isfinite(fa) and math.isfinite(fb)):
+        raise NoConvergence(f"non-finite value at a bracket end: f(a)={fa}, f(b)={fb}")
+    if fa == 0:
+        return a, fa, 0
+    if fb == 0:
+        return b, fb, 0
+    if (fa < 0) == (fb < 0):
+        raise NoConvergence(f"no sign change on the bracket: f(a)={fa}, f(b)={fb}")
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for evaluations in range(BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur, evaluations
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if not math.isfinite(fcur):
+            raise NoConvergence(f"non-finite value {fcur} at x = {xcur}")
+    raise NoConvergence(f"Brent iteration not converged after {BRENT_MAX_ITER} steps")
+
+
 def gamma_of_t(sys: InducedSystem, cfg: TransferSeriesConfig | None = None) -> float:
     """Image coordinate c* of the Sturmian interval matched to the scale of sys.
 
-    Solves Delta(c*) = log((a0+c0)/((b1+d1) t)) by bracketed root finding on
-    [0, 1]; the bracket is guaranteed because Delta runs from a positive
-    value at c = 0 to a negative one at c = 1 while the target lies strictly
-    between for interior t.  The root is re-validated to residual 1e-9.
+    Solves Delta(c*) = log((a0+c0)/((b1+d1) t)) by Brent's method on [0, 1];
+    the bracket is guaranteed because Delta runs from a positive value at
+    c = 0 to a negative one at c = 1 while the target lies strictly between
+    for interior t.  The residual checked against 1e-9 is the solver's last
+    value, the one it converged on.
     """
     cfg = cfg or TransferSeriesConfig()
     th = thresholds(sys.pair)
@@ -312,11 +371,10 @@ def gamma_of_t(sys: InducedSystem, cfg: TransferSeriesConfig | None = None) -> f
     h0, h1 = h(0.0), h(1.0)
     if not (h0 > 0.0 > h1):
         raise NoConvergence(f"matching functional does not bracket: h(0)={h0}, h(1)={h1}")
-    c_star = brentq(h, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16)
-    residual = abs(h(c_star))
-    if residual > 1e-9:
-        raise NoConvergence(f"matching residual {residual} above 1e-9 at c = {c_star}")
-    return float(c_star)
+    c_star, h_star, _ = _brent(h, 0.0, 1.0, h0, h1, xtol=1e-13, rtol=8.9e-16)
+    if not abs(h_star) <= 1e-9:
+        raise NoConvergence(f"matching residual {abs(h_star)} above 1e-9 at c = {c_star}")
+    return c_star
 
 
 def fixed_point_f_value(sys: InducedSystem, i: int) -> float:

@@ -21,8 +21,8 @@ from sturmjsr import (
     sturmian_restricted_max,
     thresholds,
 )
-from sturmjsr.certify import delta_extremal_ratio, fixed_point_f_value
-from sturmjsr.errors import DomainError, NotInClassC, OutOfInteriorRange
+from sturmjsr.certify import _brent, delta_extremal_ratio, endpoint_ratio_log, fixed_point_f_value
+from sturmjsr.errors import DomainError, NoConvergence, NotInClassC, OutOfInteriorRange
 
 from conftest import random_rational
 
@@ -133,8 +133,6 @@ def test_gamma_of_t_limits_and_residual(reference_pair):
 
     sys = induced_system(reference_pair, 1)
     c_star = gamma_of_t(sys)
-    from sturmjsr.certify import endpoint_ratio_log
-
     assert abs(delta_numeric(sys, c_star) - endpoint_ratio_log(reference_pair, 1)) <= 1e-9
 
 
@@ -151,6 +149,78 @@ def test_gamma_of_t_monotone(reference_pair):
 def test_gamma_of_t_rejects_domination_scales(reference_pair):
     with pytest.raises(OutOfInteriorRange):
         gamma_of_t(induced_system(reference_pair, F(1, 4)))
+
+
+def test_brent_closed_form_roots():
+    def cubic(x):
+        return x**3 - 2 * x - 5
+
+    root, value, evaluations = _brent(cubic, 2.0, 3.0, cubic(2.0), cubic(3.0), 1e-15, 8.9e-16)
+    assert abs(root - 2.0945514815423265) <= 4e-15
+    assert value == cubic(root) and 0 < evaluations < 20
+
+    def fixed(x):
+        return math.cos(x) - x
+
+    root, value, _ = _brent(fixed, 0.0, 1.0, fixed(0.0), fixed(1.0), 1e-15, 8.9e-16)
+    assert abs(root - 0.7390851332151607) <= 4e-15
+    assert value == fixed(root)
+
+
+def test_brent_root_at_an_end_costs_nothing():
+    def forbidden(x):
+        raise AssertionError("no evaluation needed")
+
+    assert _brent(forbidden, 0.0, 2.0, -1.0, 0.0, 1e-13, 8.9e-16) == (2.0, 0.0, 0)
+    assert _brent(forbidden, -1.5, 2.0, 0.0, 3.0, 1e-13, 8.9e-16) == (-1.5, 0.0, 0)
+    with pytest.raises(NoConvergence):
+        _brent(forbidden, 0.0, 1.0, 1.0, 2.0, 1e-13, 8.9e-16)
+
+
+def test_brent_non_finite_value_raises_no_convergence():
+    with pytest.raises(NoConvergence):
+        _brent(lambda x: math.nan, 0.0, 1.0, 1.0, -1.0, 1e-13, 8.9e-16)
+    with pytest.raises(NoConvergence):
+        _brent(lambda x: -x, 0.0, 1.0, math.nan, -1.0, 1e-13, 8.9e-16)
+
+
+def test_brent_iteration_cap_raises_no_convergence():
+    calls = []
+
+    def step(x):
+        # A sign change with no zero: the bracket shrinks to adjacent floats
+        # around 0.7 but never below the tolerance of 1e-300.
+        calls.append(x)
+        return 1.0 if x > 0.7 else -1.0
+
+    with pytest.raises(NoConvergence):
+        _brent(step, 0.0, 1.0, -1.0, 1.0, 1e-300, 0.0)
+    assert len(calls) == 100
+
+
+def test_brent_matches_scipy_brentq_bit_for_bit(reference_pair, symmetric_pair):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = random.Random(65)
+    for pair in (reference_pair, symmetric_pair):
+        th = thresholds(pair)
+        t0, t1 = float(th.t0), float(th.t1)
+        for _ in range(100):
+            t = t0 * (t1 / t0) ** rng.random()
+            sys = induced_system(pair, t)
+            target = endpoint_ratio_log(pair, t)
+            memo = {}
+
+            def h(c):
+                if c not in memo:
+                    memo[c] = delta_numeric(sys, c) - target
+                return memo[c]
+
+            expected, info = brentq(h, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16, full_output=True)
+            root, value, evaluations = _brent(h, 0.0, 1.0, h(0.0), h(1.0), 1e-13, 8.9e-16)
+            assert root == expected, t
+            assert value == h(root)
+            assert evaluations == info.function_calls - 2
+            assert gamma_of_t(sys) == expected
 
 
 def test_fixed_point_value_closed_form(reference_system):
@@ -197,3 +267,21 @@ def test_certify_symmetric_pair(symmetric_pair):
 def test_certify_grid_precondition(reference_pair):
     with pytest.raises(DomainError):
         certify(reference_pair, 1, 32)
+
+
+@pytest.mark.parametrize("k", range(6, 12))
+def test_certify_margin_tracks_offset_near_t0(reference_pair, k):
+    offset = F(1, 10**k)
+    rep = certify(reference_pair, F(24, 77) * (1 + offset))
+    assert 0 < rep.exterior_margin <= 100 * offset
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: at t0*(1 + 1e-12) rounding noise in Delta near c = 0 "
+    "(|h(0)| about 4e-13) moves c* to 3.7e-13 and the margin jumps to 2.5e-2",
+)
+def test_certify_margin_tracks_offset_at_t0_plus_1e_12(reference_pair):
+    offset = F(1, 10**12)
+    rep = certify(reference_pair, F(24, 77) * (1 + offset))
+    assert 0 < rep.exterior_margin <= 100 * offset

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,15 @@ def test_usage_error_exits_1(pair_file, capsys):
 
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_cli_import_pulls_in_no_numeric_stack():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys, sturmjsr.cli; "
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"
