@@ -29,8 +29,7 @@ from .classify import (
     PairClassReport,
     classify_matrix,
     d2_pair,
-    in_class_C,
-    in_class_D,
+    pair_report,
     scale_pair,
     similarity_transform,
 )

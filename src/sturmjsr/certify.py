@@ -33,10 +33,9 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .classify import in_class_C, in_class_D
 from .dynamics import (
     InducedSystem,
     SturmianIntervalSpec,
@@ -50,7 +49,6 @@ from .errors import (
     ClosedFormMismatch,
     DomainError,
     NoConvergence,
-    NotInClassC,
     NotInClassD,
     OutOfInteriorRange,
 )
@@ -246,18 +244,20 @@ def delta_numeric(
 
 
 def thresholds(pair: MatrixPair) -> ThresholdPair:
-    """Closed-form scale thresholds t0 < t1 of the domination regimes.
+    """Closed-form scale thresholds t0 < t1 of the domination regimes."""
+    return _thresholds(induced_system(pair))
+
+
+def _thresholds(sys: InducedSystem) -> ThresholdPair:
+    """The thresholds of the system's pair.
 
     Both closed forms (direct rational function of rho, and endpoint ratio
     divided by the exponential of the matching functional) are computed and
     must agree; the direct form is returned and stays exact on the rational
     path whenever the discriminant square roots are rational.
     """
-    if not in_class_C(pair).in_C:
-        raise NotInClassC("thresholds need a concave-convex pair")
-    sys = induced_system(pair, 1)
-    a0, c0 = pair.A0.a, pair.A0.c
-    b1, d1 = pair.A1.b, pair.A1.d
+    a0, c0 = sys.pair.A0.a, sys.pair.A0.c
+    b1, d1 = sys.pair.A1.b, sys.pair.A1.d
     out = []
     for i in (0, 1):
         rho = sys.proj0.rho if i == 0 else sys.proj1.rho
@@ -277,7 +277,10 @@ def thresholds(pair: MatrixPair) -> ThresholdPair:
 
 def domination_check(pair: MatrixPair, t: Number) -> Domination:
     """Which regime the scale t falls in; boundaries count as domination."""
-    th = thresholds(pair)
+    return _domination(thresholds(pair), t)
+
+
+def _domination(th: ThresholdPair, t: Number) -> Domination:
     if t <= th.t0:
         return Domination.A0_DOMINATES
     if t >= th.t1:
@@ -360,7 +363,7 @@ def gamma_of_t(sys: InducedSystem, cfg: TransferSeriesConfig | None = None) -> f
     value, the one it converged on.
     """
     cfg = cfg or TransferSeriesConfig()
-    th = thresholds(sys.pair)
+    th = _thresholds(sys)
     if not (float(th.t0) < float(sys.t) < float(th.t1)):
         raise OutOfInteriorRange(f"t = {sys.t} outside ({th.t0}, {th.t1})")
     target = endpoint_ratio_log(sys.pair, sys.t)
@@ -413,10 +416,11 @@ def certify(
     cfg = cfg or TransferSeriesConfig()
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
-    if not in_class_D(pair).in_D:
+    sys = induced_system(pair)
+    if not sys.report.in_D:
         raise NotInClassD("certification needs the strict cross inequalities")
-    sys = induced_system(pair, t)
-    regime = domination_check(pair, t)
+    sys = replace(sys, t=t)  # checks t only now: a class failure is reported first
+    regime = _domination(_thresholds(sys), t)
 
     half = max(grid_size // 2, 32)
     grid0 = sys.X0.grid(half)

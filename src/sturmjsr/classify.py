@@ -169,16 +169,6 @@ def pair_report(pair: MatrixPair) -> PairClassReport:
     )
 
 
-def in_class_C(pair: MatrixPair) -> PairClassReport:
-    """Report for the concave-convex class; in_C is the decision."""
-    return pair_report(pair)
-
-
-def in_class_D(pair: MatrixPair) -> PairClassReport:
-    """Report for the Sturmian class; in_D is the decision."""
-    return pair_report(pair)
-
-
 def d2_pair(b: Number, c: Number) -> MatrixPair:
     """Two-parameter family ((1,b;c,1),(1,c;b,1)).
 

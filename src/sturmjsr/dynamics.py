@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import in_class_C
+from .classify import PairClassReport, pair_report
 from .errors import DomainError, EmptyWord, NoConvergence, NonPositiveScale, NotInClassC
 from .matrices import Matrix2, MatrixPair, ProjectiveData, projective_data, require_positive
 from .scalar import Number
@@ -60,7 +60,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class InducedSystem:
-    """A concave-convex pair with its scale, branch images, and projective data."""
+    """A concave-convex pair with its scale, branch images, projective data, and class report."""
 
     pair: MatrixPair
     t: Number
@@ -68,6 +68,11 @@ class InducedSystem:
     X1: Interval
     proj0: ProjectiveData
     proj1: ProjectiveData
+    report: PairClassReport
+
+    def __post_init__(self):
+        if not self.t > 0:
+            raise NonPositiveScale(f"t must be positive, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -106,21 +111,22 @@ def induced_inverse_eval(A: Matrix2, x: Number) -> Number:
 
 
 def induced_system(pair: MatrixPair, t: Number = 1) -> InducedSystem:
-    """Build the two-branch system; identical for every positive t."""
-    if not t > 0:
-        raise NonPositiveScale(f"t must be positive, got {t}")
-    report = in_class_C(pair)
+    """Build the two-branch system; identical for every positive t.
+
+    The one class check of a public call, made before the scale check; class
+    D callers read sys.report.
+    """
+    report = pair_report(pair)
     if not report.in_C:
         raise NotInClassC(f"pair is not concave-convex: margins {report.inequality_margins}")
-    X0 = induced_image(pair.A0)
-    X1 = induced_image(pair.A1)
     return InducedSystem(
         pair=pair,
         t=t,
-        X0=X0,
-        X1=X1,
+        X0=induced_image(pair.A0),
+        X1=induced_image(pair.A1),
         proj0=projective_data(pair.A0),
         proj1=projective_data(pair.A1),
+        report=report,
     )
 
 

@@ -29,12 +29,12 @@ class DomainError(SturmJsrError):
     """An argument lies outside the domain of the requested map."""
 
 
-class NotInClassC(SturmJsrError):
-    """The matrix pair is not a concave-convex pair."""
-
-
 class NotInClassD(SturmJsrError):
     """The matrix pair fails the strict cross inequalities of the Sturmian class."""
+
+
+class NotInClassC(NotInClassD):
+    """The matrix pair is not a concave-convex pair, so not in the Sturmian class either."""
 
 
 class NoConvergence(SturmJsrError):

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .classify import in_class_C, in_class_D
+from .classify import pair_report
 from .dynamics import InducedSystem, apply_T, f_eval, periodic_point
 from .errors import (
     DomainError,
@@ -174,7 +174,7 @@ def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> flo
     function of the scaled pair against the Sturmian measure of the given
     parameter.
     """
-    if not in_class_C(pair).in_C:
+    if not pair_report(pair).in_C:
         raise NotInClassC("sturmian values need a concave-convex pair")
     if not t > 0:
         raise NonPositiveScale(f"t must be positive, got {t}")
@@ -207,7 +207,7 @@ def sturmian_restricted_max(
     numerator.  The restricted maximum converges to log r of the scaled
     pair as the denominator cap grows.
     """
-    if not in_class_D(pair).in_D:
+    if not pair_report(pair).in_D:
         raise NotInClassD("restricted Sturmian search needs the strict cross inequalities")
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")

@@ -59,9 +59,6 @@ class Matrix2:
     def mul(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(*_product(self.entries(), other.entries()))
 
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return self.mul(other)
-
     def moebius(self, x: Number) -> Number:
         """Induced map T_A(x) = ((a-b)x + b) / (alpha x + b + d) on [0, 1]."""
         a, b, c, d = self.entries()
@@ -81,9 +78,6 @@ class Matrix2:
         else:
             inv = 1.0 / det
         return Matrix2(inv * self.d, -inv * self.b, -inv * self.c, inv * self.a)
-
-    def max_entry(self) -> Number:
-        return max(self.a, self.b, self.c, self.d)
 
     def max_abs_entry(self) -> Number:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))

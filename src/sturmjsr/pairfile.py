@@ -3,12 +3,13 @@
 Format: a JSON object with exactly the keys "A0" and "A1", each a 2x2
 row-major array.  Entries are JSON numbers or strings "p/q" with arbitrary
 precision integers; strings and integers stay on the exact rational path,
-other numbers go to floats.
+other finite numbers go to floats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import PairFileError
@@ -22,6 +23,8 @@ def _parse_entry(value) -> Number:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):  # json.load reads NaN, Infinity and 1e400
+            raise PairFileError(f"matrix entry must be finite: {value!r}")
         return value
     if isinstance(value, str):
         try:

@@ -102,15 +102,23 @@ def strictly_negative(x: Number, tol: float = ABS_TOL) -> bool:
 
 
 def parse_scalar(text: str) -> Number:
-    """Parse a CLI/file scalar: 'p/q' or an integer parse exactly, decimals as float."""
+    """Parse a CLI/file scalar: 'p/q' or an integer parse exactly, decimals as float.
+
+    A zero denominator or a non-finite value (inf, nan, 1e400) is a ValueError.
+    """
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     try:
         return Fraction(int(s))
     except ValueError:
-        return float(s)
+        x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
 def format_scalar(x: Number) -> str | int | float:

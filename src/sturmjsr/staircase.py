@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import ThresholdPair, thresholds
-from .classify import pair_report
+from .certify import ThresholdPair, _thresholds
+from .dynamics import apply_T, induced_system, itinerary
 from .errors import DomainError, NotInClassD, PlateauNotFound
 from .matrices import Matrix2, MatrixPair, spectral_radius, word_values
 from .scalar import Number
@@ -30,6 +30,7 @@ from .words import (
     RationalParameter,
     farey_neighbors,
     mechanical_word,
+    parameter_from_itinerary,
     stern_brocot_words,
 )
 
@@ -136,12 +137,13 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
 
 def _validated(pair: MatrixPair, max_den: int) -> tuple[ThresholdPair, _Envelope]:
     """Class and cap checks, then the thresholds and the envelope of the pair."""
-    if not pair_report(pair).in_D:
+    sys = induced_system(pair)
+    if not sys.report.in_D:
         raise NotInClassD("the parameter map needs the strict cross inequalities")
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
     entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
-    return thresholds(pair), _envelope(entries, max_den)
+    return _thresholds(sys), _envelope(entries, max_den)
 
 
 def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
@@ -194,9 +196,6 @@ def parameter_bracket_of_coordinate(sys, c: Number, depth: int = 64) -> Paramete
     above the right branch image.  The two padded prefixes are then pushed
     through the usual descent.
     """
-    from .dynamics import apply_T, itinerary
-    from .words import parameter_from_itinerary
-
     prefix, escaped = itinerary(sys, c, depth)
     pad = 3 * depth + 8
     if escaped is None:

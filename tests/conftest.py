@@ -26,6 +26,15 @@ def symmetric_pair() -> MatrixPair:
 
 
 @pytest.fixture(scope="session")
+def c_not_d_pair() -> MatrixPair:
+    """Concave-convex, but rho(A1) > sigma(A0): outside the Sturmian class."""
+    return MatrixPair(
+        Matrix2(F(2, 3), F(1, 4), F(5, 8), F(1)),
+        Matrix2(F(1), F(8, 5), F(1, 6), F(8, 9)),
+    )
+
+
+@pytest.fixture(scope="session")
 def reference_system(reference_pair):
     return induced_system(reference_pair, 1)
 

@@ -16,7 +16,7 @@ from sturmjsr import (
     certify,
     counterexample_search,
     eigenvalues,
-    in_class_D,
+    pair_report,
     induced_system,
     ergodic_average_f,
     is_balanced,
@@ -52,7 +52,7 @@ def test_01_reference_pair_exact_data(reference_pair):
     prod, scale = word_product(reference_pair, F(1), "01")
     ok = ok and scale == 0
     ok = ok and prod.trace() - F(9, 16) - F(13, 16) == F(12995, 14336)
-    ok = ok and in_class_D(reference_pair).in_D
+    ok = ok and pair_report(reference_pair).in_D
     check(1, "reference pair eigenvalues, product trace, class membership", ok)
 
 
@@ -213,10 +213,10 @@ def test_12a_class_membership_scale_invariant(reference_pair, symmetric_pair):
     rng = random.Random(104)
     ok = True
     for pair in (reference_pair, symmetric_pair):
-        base = in_class_D(pair).in_D
+        base = pair_report(pair).in_D
         for _ in range(20):
             t = random_rational(rng)
-            if in_class_D(scale_pair(pair, t)).in_D != base:
+            if pair_report(scale_pair(pair, t)).in_D != base:
                 ok = False
     check(12, "class membership invariant under scaling", ok)
 

@@ -22,7 +22,13 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.certify import _brent, delta_extremal_ratio, endpoint_ratio_log, fixed_point_f_value
-from sturmjsr.errors import DomainError, NoConvergence, NotInClassC, OutOfInteriorRange
+from sturmjsr.errors import (
+    DomainError,
+    NoConvergence,
+    NotInClassC,
+    NotInClassD,
+    OutOfInteriorRange,
+)
 
 from conftest import random_rational
 
@@ -116,6 +122,16 @@ def test_thresholds_ordering_random_class_pairs():
 def test_thresholds_reject_outside_class():
     with pytest.raises(NotInClassC):
         thresholds(d2_pair(F(1, 2), F(3)))
+
+
+@pytest.mark.parametrize("t", [1, -1])
+def test_certify_rejects_outside_class_D(c_not_d_pair, t):
+    # The class is reported before the scale, and a pair in C is not NotInClassC.
+    with pytest.raises(NotInClassD) as info:
+        certify(c_not_d_pair, t)
+    assert not isinstance(info.value, NotInClassC)
+    with pytest.raises(NotInClassC):
+        certify(d2_pair(F(1, 2), F(3)), t)
 
 
 def test_domination_regimes(reference_pair):

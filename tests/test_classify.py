@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -8,15 +9,22 @@ from sturmjsr import (
     Matrix2,
     MatrixPair,
     MatrixConvexity,
+    RationalParameter,
+    certify,
     classify_matrix,
+    counterexample_search,
     d2_pair,
-    in_class_C,
-    in_class_D,
+    domination_check,
+    pair_report,
+    parameter_map,
+    plateau_bounds,
     projective_data,
     q_poly_eval,
     scale_pair,
     similarity_transform,
     spectral_radius,
+    staircase_scan,
+    thresholds,
 )
 from sturmjsr.errors import NonPositiveScale, SingularTransform
 
@@ -53,25 +61,25 @@ def test_classify_four_criteria_agree_exact():
 
 
 def test_in_class_C_reference(reference_pair):
-    rep = in_class_C(reference_pair)
+    rep = pair_report(reference_pair)
     assert rep.in_M2plus and rep.in_C
     assert rep.image_gap == (F(5, 12), F(8, 15))
 
 
 def test_in_class_C_rejects_two_concave():
     m = Matrix2(2, 1, 1, 1)
-    rep = in_class_C(MatrixPair(m, m))
+    rep = pair_report(MatrixPair(m, m))
     assert not rep.in_C
 
 
 def test_in_class_C_rejects_boundary_zero_entries():
     pair = MatrixPair(Matrix2(1, 0, 1, 1), Matrix2(1, 1, 0, 1))
-    rep = in_class_C(pair)
+    rep = pair_report(pair)
     assert not rep.in_M2plus and not rep.in_C
 
 
 def test_in_class_D_reference(reference_pair):
-    rep = in_class_D(reference_pair)
+    rep = pair_report(reference_pair)
     assert rep.in_D
     # rho(A1) < sigma(A0) and sigma(A1) < rho(A0): -8/7 < -67/60, -8/119 < 3/4.
     m1, m2 = rep.inequality_margins[2], rep.inequality_margins[3]
@@ -80,7 +88,7 @@ def test_in_class_D_reference(reference_pair):
 
 
 def test_in_class_D_symmetric_family(symmetric_pair):
-    rep = in_class_D(symmetric_pair)
+    rep = pair_report(symmetric_pair)
     assert rep.in_D
     d0 = projective_data(symmetric_pair.A0)
     assert d0.sigma == F(-3, 5)
@@ -92,17 +100,17 @@ def test_in_class_D_symmetric_family(symmetric_pair):
 
 def test_in_class_D_rejects_large_bc():
     # bc = 3/2 > 1 makes the determinants negative.
-    rep = in_class_D(d2_pair(F(1, 2), F(3)))
+    rep = pair_report(d2_pair(F(1, 2), F(3)))
     assert not rep.in_M2plus and not rep.in_D
 
 
 def test_in_class_D_boundary_unit_bc():
-    rep = in_class_D(d2_pair(F(1), F(1)))
+    rep = pair_report(d2_pair(F(1), F(1)))
     assert not rep.in_D
 
 
 def test_in_class_D_small_b_large_c():
-    assert in_class_D(d2_pair(F(1, 10), F(5))).in_D
+    assert pair_report(d2_pair(F(1, 10), F(5))).in_D
 
 
 def test_d2_family_inside_class_random():
@@ -113,7 +121,7 @@ def test_d2_family_inside_class_random():
         b = F(rng.randint(1, 99), 100)
         if not b * c < 1 < c:
             continue
-        assert in_class_D(d2_pair(b, c)).in_D
+        assert pair_report(d2_pair(b, c)).in_D
         count += 1
 
 
@@ -133,10 +141,10 @@ def test_scale_pair_basics(reference_pair):
 def test_class_D_invariant_under_scaling(reference_pair, symmetric_pair):
     rng = random.Random(24)
     for pair in (reference_pair, symmetric_pair):
-        base = in_class_D(pair).in_D
+        base = pair_report(pair).in_D
         for _ in range(25):
             t = random_rational(rng)
-            assert in_class_D(scale_pair(pair, t)).in_D == base
+            assert pair_report(scale_pair(pair, t)).in_D == base
 
 
 def test_similarity_transform_identity_and_diagonal(reference_pair):
@@ -196,3 +204,46 @@ def test_class_C_linear_factor_signs(reference_pair):
         for x in (0, 1):
             assert x + sys.proj0.rho > 0
             assert x + sys.proj1.rho < 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair: parameter_map(pair, 1, 20),
+        lambda pair: staircase_scan(pair, 0.2, 16, 10, 20),
+        lambda pair: plateau_bounds(pair, RationalParameter(1, 2), 1e-6, 20),
+        lambda pair: counterexample_search(pair, 0.38, 1e-6, 20),
+        lambda pair: thresholds(pair),
+        lambda pair: domination_check(pair, 1),
+        lambda pair: certify(pair, 1),
+        lambda pair: certify(pair, F(1, 8)),
+        lambda pair: certify(pair, 8),
+    ],
+    ids=[
+        "parameter_map",
+        "staircase_scan",
+        "plateau_bounds",
+        "counterexample_search",
+        "thresholds",
+        "domination_check",
+        "certify-interior",
+        "certify-A0",
+        "certify-A1",
+    ],
+)
+def test_public_call_classifies_the_pair_once(reference_pair, monkeypatch, call):
+    # Count pair_report under every name a sturmjsr module binds it to.
+    original = pair_report
+    calls = []
+
+    def counting(pair):
+        calls.append(pair)
+        return original(pair)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sturmjsr" or name.startswith("sturmjsr."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    call(reference_pair)
+    assert len(calls) == 1

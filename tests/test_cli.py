@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from sturmjsr.cli import main
+from sturmjsr.errors import PairFileError
+from sturmjsr.pairfile import parse_pair
 
 REFERENCE = {
     "A0": [["5/8", "3/112"], ["7/8", "15/16"]],
@@ -122,10 +124,22 @@ def test_certify_inconclusive_exits_3(pair_file, capsys):
 
 
 def test_certify_class_failure_exits_2(tmp_path, capsys):
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"A0": [[2, 1], [1, 1]], "A1": [[2, 1], [1, 1]]}))
-    code, _, _ = run(capsys, ["certify", str(path), "--t", "1"])
-    assert code == 2
+    not_c = {"A0": [[2, 1], [1, 1]], "A1": [[2, 1], [1, 1]]}
+    c_not_d = {"A0": [["2/3", "1/4"], ["5/8", "1"]], "A1": [["1", "8/5"], ["1/6", "8/9"]]}
+    commands = [
+        ["certify", "--t", "1"],
+        ["certify", "--t", "-1"],  # the class failure wins over the bad scale
+        ["staircase", "--t-min", "0.2", "--t-max", "16", "--samples", "12", "--max-den", "12"],
+        ["plateau", "--param", "1/2", "--resolution", "1e-6", "--max-den", "20"],
+        ["counterexample", "--target", "0.38", "--tol", "1e-6", "--max-den", "20"],
+    ]
+    for doc in (not_c, c_not_d):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        for argv in commands:
+            code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:")
 
 
 def test_plateau_command(pair_file, capsys):
@@ -173,14 +187,46 @@ def test_counterexample_command(pair_file, capsys):
         ["counterexample", "--target", "0.38", "--tol", "1e-6", "--max-den", "0"],
         ["counterexample", "--target", "cf:0,0", "--tol", "1e-6", "--max-den", "20"],
         ["counterexample", "--target", "cf:0,2,-2", "--tol", "1e-6", "--max-den", "20"],
+        ["jsr", "--t", "1/0", "--max-len", "3"],
+        ["counterexample", "--target", "1/0", "--tol", "1e-6", "--max-den", "20"],
+        ["jsr", "--t", "inf", "--max-len", "3", "--upper"],
+        ["jsr", "--t", "nan", "--max-len", "3"],
+        ["jsr", "--t", "1e400", "--max-len", "3"],
+        ["staircase", "--t-min", "1", "--t-max", "inf", "--samples", "12", "--max-den", "12"],
     ],
-    ids=["staircase-cap-0", "plateau-cap-0", "counterexample-cap-0", "cf-zero", "cf-negative"],
+    ids=[
+        "staircase-cap-0",
+        "plateau-cap-0",
+        "counterexample-cap-0",
+        "cf-zero",
+        "cf-negative",
+        "jsr-t-zero-denominator",
+        "target-zero-denominator",
+        "jsr-t-inf",
+        "jsr-t-nan",
+        "jsr-t-overflow",
+        "staircase-t-max-inf",
+    ],
 )
 def test_bad_flag_values_exit_1(pair_file, capsys, argv):
     code, out, err = run(capsys, [argv[0], pair_file, *argv[1:]])
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_pair_entries_rejected(tmp_path, capsys, literal):
+    text = json.dumps(REFERENCE).replace('"5/8"', literal)
+    with pytest.raises(PairFileError):
+        parse_pair(json.loads(text))
+    path = tmp_path / "pair.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert (code, out) == (2, "") and err.startswith("error:")
+    for argv in (["jsr", "--t", "1", "--max-len", "4"], ["certify", "--t", "1"]):
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert (code, out) == (1, "") and err.startswith("error:")
 
 
 def test_usage_error_exits_1(pair_file, capsys):

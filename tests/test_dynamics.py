@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,13 +14,14 @@ from sturmjsr import (
     induced_map_eval,
     induced_system,
     itinerary,
+    pair_report,
     periodic_point,
     projective_data,
     sturmian_interval_endpoints,
     word_product,
 )
 from sturmjsr.dynamics import apply_T, branch_of, contraction_eval
-from sturmjsr.errors import DomainError, NotInClassC
+from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassC, NotInClassD
 
 
 def test_induced_map_values(reference_pair, symmetric_pair):
@@ -70,6 +72,20 @@ def test_induced_system_rejects_non_class_C():
     m = Matrix2(2, 1, 1, 1)
     with pytest.raises(NotInClassC):
         induced_system(MatrixPair(m, m), 1)
+    with pytest.raises(NotInClassC):  # the class is checked before the scale
+        induced_system(MatrixPair(m, m), -1)
+    assert issubclass(NotInClassC, NotInClassD)
+
+
+def test_induced_system_carries_the_class_report(reference_pair, c_not_d_pair):
+    for pair in (reference_pair, c_not_d_pair):
+        sys = induced_system(pair, 2)
+        assert sys.report == pair_report(pair)
+        assert replace(sys, t=3).t == 3
+        with pytest.raises(NonPositiveScale):
+            replace(sys, t=0)
+    assert induced_system(reference_pair).report.in_D
+    assert not induced_system(c_not_d_pair).report.in_D
 
 
 def test_f_values_at_image_endpoints(reference_pair):

@@ -241,11 +241,12 @@ def test_restricted_max_agrees_with_bruteforce(reference_pair):
     assert p == est.argmax_parameter
 
 
-def test_restricted_max_rejects_outside_class():
+def test_restricted_max_rejects_outside_class(c_not_d_pair):
     from sturmjsr import d2_pair
 
-    with pytest.raises(NotInClassD):
-        sturmian_restricted_max(d2_pair(F(1, 2), F(3)), 1, 10)
+    for pair in (d2_pair(F(1, 2), F(3)), c_not_d_pair):
+        with pytest.raises(NotInClassD):
+            sturmian_restricted_max(pair, 1, 10)
 
 
 @pytest.mark.parametrize("max_den", [0, -2])

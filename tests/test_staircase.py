@@ -111,11 +111,12 @@ def test_sturmian_table_bits_match_per_word_products(reference_pair, symmetric_p
         assert got == want
 
 
-def test_parameter_map_rejects_outside_class():
+def test_parameter_map_rejects_outside_class(c_not_d_pair):
     from sturmjsr import d2_pair
 
-    with pytest.raises(NotInClassD):
-        parameter_map(d2_pair(F(1, 2), F(3)), 1, 10)
+    for pair in (d2_pair(F(1, 2), F(3)), c_not_d_pair):
+        with pytest.raises(NotInClassD):
+            parameter_map(pair, 1, 10)
 
 
 def test_scan_monotone_with_extreme_endpoints(reference_pair):
