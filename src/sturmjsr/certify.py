@@ -10,10 +10,13 @@ Sturmian measure of the interval is the unique maximizing measure.
 
 The series is summed by exact piece bookkeeping: the image of [0, z] under
 tau^n is an ordered union of subintervals, each inside one branch interval,
-so the n-th term is a sum of endpoint differences of f.  Pieces are tracked
-with their domain intervals and composed Moebius maps, which lets one sweep
-serve any number of evaluation points.  Truncation uses the rigorous bound
-(total image length) * sup|f'|.
+so the n-th term is a sum of endpoint differences of f.  A piece carries its
+domain interval, the Moebius coefficients of tau^n there (scaled to largest
+modulus 1), the branch its image lies in, and its two image endpoints,
+computed once when the piece is made.  The pieces do not depend on the
+evaluation points, so one sweep serves any number of them, and f at a
+piece's lower image end is evaluated once per term for all the points in
+it.  Truncation uses the rigorous bound (total image length) * sup|f'|.
 
 For the extremal intervals everything is closed-form:
 
@@ -52,7 +55,7 @@ from .errors import (
     NotInClassD,
     OutOfInteriorRange,
 )
-from .matrices import MatrixPair
+from .matrices import Entries, MatrixPair, _product
 from .scalar import Number, is_exact
 
 FLAT_TOL = 1e-6
@@ -112,10 +115,10 @@ def phi_extremal(sys: InducedSystem, i: int, x: Number) -> float:
     return math.log(float(ratio))
 
 
-def _branch_mobius(sys: InducedSystem, i: int) -> tuple[float, float, float, float]:
-    A = sys.pair.A0 if i == 0 else sys.pair.A1
-    a, b, c, d = (float(v) for v in A.entries())
-    return (a - b, b, a + c - b - d, b + d)
+def _moebius(m: Entries, x: float) -> float:
+    """The map x -> (p x + q) / (r x + s) of the coefficients m = (p, q, r, s)."""
+    p, q, r, s = m
+    return (p * x + q) / (r * x + s)
 
 
 def _phi_batch(
@@ -123,10 +126,10 @@ def _phi_batch(
 ) -> list[float]:
     """Transfer-function values at every z in zs, in one piece sweep.
 
-    Pieces are kept as (dom_lo, dom_hi, moebius coefficients, branch), the
-    moebius map being the restriction of tau^n to the domain interval.  The
-    n-th series term for a point z is the sum of f-endpoint differences over
-    the pieces of tau^n([0, z]).
+    A piece is (dom_lo, dom_hi, moebius coefficients, branch, img_lo, img_hi),
+    the moebius map being the restriction of tau^n to the domain interval.
+    The n-th series term for a point z is the sum of f-endpoint differences
+    over the pieces of tau^n([0, z]).
     """
     cf = float(c)
     if not 0.0 <= cf <= 1.0:
@@ -135,64 +138,56 @@ def _phi_batch(
         if not -1e-12 <= z <= 1 + 1e-12:
             raise DomainError(f"z = {z} outside [0, 1]")
 
-    t0 = _branch_mobius(sys, 0)
-    t1 = _branch_mobius(sys, 1)
-    alpha0, sigma0 = float(sys.proj0.alpha), float(sys.proj0.sigma)
-    alpha1, sigma1 = float(sys.proj1.alpha), float(sys.proj1.sigma)
+    branch_maps = []
+    for A in (sys.pair.A0, sys.pair.A1):
+        a, b, cc, d = (float(v) for v in A.entries())
+        branch_maps.append((a - b, b, a + cc - b - d, b + d))
+    consts = [(float(pr.alpha), float(pr.sigma)) for pr in (sys.proj0, sys.proj1)]
 
     def f_at(x: float, branch: int) -> float:
         # f up to a per-branch additive constant, which cancels in the
         # endpoint differences taken below.
-        if branch == 0:
-            return -math.log(abs(alpha0 * (x + sigma0)))
-        return -math.log(abs(alpha1 * (x + sigma1)))
+        alpha, sigma = consts[branch]
+        return -math.log(abs(alpha * (x + sigma)))
 
     sup_fp = f_prime_sup(sys)
     tol = cfg.tail_tolerance
 
-    # Piece: (dlo, dhi, p, q, r, s, branch) with map x -> (p x + q)/(r x + s).
-    pieces = [(0.0, 1.0, 1.0, 0.0, 0.0, 1.0, -1)]
+    pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), -1, 0.0, 1.0)]
     phi = [0.0] * len(zs)
 
     for _ in range(cfg.max_depth):
         new_pieces = []
-        for dlo, dhi, p, q, r, s, _br in pieces:
-            img_lo = (p * dlo + q) / (r * dlo + s)
-            img_hi = (p * dhi + q) / (r * dhi + s)
-            if img_hi < cf:
-                splits = ((dlo, dhi, t1, 1),)
-            elif img_lo >= cf:
-                splits = ((dlo, dhi, t0, 0),)
-            else:
-                sx = (s * cf - q) / (-r * cf + p)
-                sx = min(max(sx, dlo), dhi)
-                splits = ((dlo, sx, t1, 1), (sx, dhi, t0, 0))
-            for lo, hi, (ba, bb, bc, bd), branch in splits:
-                if hi <= lo:
-                    continue
-                np00 = ba * p + bb * r
-                np01 = ba * q + bb * s
-                np10 = bc * p + bd * r
-                np11 = bc * q + bd * s
-                norm = max(abs(np00), abs(np01), abs(np10), abs(np11))
-                new_pieces.append(
-                    (lo, hi, np00 / norm, np01 / norm, np10 / norm, np11 / norm, branch)
-                )
-        pieces = new_pieces
-
         dlos = []
-        img_los = []
+        f_los = []
         prefix = [0.0]
         total_len = 0.0
         acc = 0.0
-        for dlo, dhi, p, q, r, s, br in pieces:
-            img_lo = (p * dlo + q) / (r * dlo + s)
-            img_hi = (p * dhi + q) / (r * dhi + s)
-            dlos.append(dlo)
-            img_los.append(img_lo)
-            acc += f_at(img_hi, br) - f_at(img_lo, br)
-            prefix.append(acc)
-            total_len += img_hi - img_lo
+        for dlo, dhi, m, _br, img_lo, img_hi in pieces:
+            if img_hi < cf:
+                splits = ((dlo, dhi, 1),)
+            elif img_lo >= cf:
+                splits = ((dlo, dhi, 0),)
+            else:
+                p, q, r, s = m
+                sx = (s * cf - q) / (-r * cf + p)
+                sx = min(max(sx, dlo), dhi)
+                splits = ((dlo, sx, 1), (sx, dhi, 0))
+            for lo, hi, branch in splits:
+                if hi <= lo:
+                    continue
+                p, q, r, s = _product(branch_maps[branch], m)
+                norm = max(abs(p), abs(q), abs(r), abs(s))
+                nm = (p / norm, q / norm, r / norm, s / norm)
+                new_lo, new_hi = _moebius(nm, lo), _moebius(nm, hi)
+                new_pieces.append((lo, hi, nm, branch, new_lo, new_hi))
+                f_lo = f_at(new_lo, branch)
+                dlos.append(lo)
+                f_los.append(f_lo)
+                acc += f_at(new_hi, branch) - f_lo
+                prefix.append(acc)
+                total_len += new_hi - new_lo
+        pieces = new_pieces
 
         for k, z in enumerate(zs):
             if z <= 0.0:
@@ -200,10 +195,8 @@ def _phi_batch(
             idx = bisect_right(dlos, z) - 1
             if idx < 0:
                 continue
-            dlo, dhi, p, q, r, s, br = pieces[idx]
-            zz = min(z, dhi)
-            img_z = (p * zz + q) / (r * zz + s)
-            phi[k] += prefix[idx] + f_at(img_z, br) - f_at(img_los[idx], br)
+            _dlo, dhi, m, br, _lo, _hi = pieces[idx]
+            phi[k] += prefix[idx] + f_at(_moebius(m, min(z, dhi)), br) - f_los[idx]
 
         if total_len * sup_fp < tol:
             return phi
@@ -422,38 +415,25 @@ def certify(
     sys = replace(sys, t=t)  # checks t only now: a class failure is reported first
     regime = _domination(_thresholds(sys), t)
 
-    half = max(grid_size // 2, 32)
-    grid0 = sys.X0.grid(half)
-    grid1 = sys.X1.grid(half)
-
-    if regime is Domination.INTERIOR:
+    interior = regime is Domination.INTERIOR
+    if interior:
         c_star = gamma_of_t(sys, cfg)
-        zs = grid0 + grid1 + [float(apply_T(sys, x)) for x in grid0 + grid1]
-        phis = _phi_batch(sys, c_star, zs, cfg)
-        n = len(grid0) + len(grid1)
-        phi_x = phis[:n]
-        phi_tx = phis[n:]
+        phi = lambda zs: _phi_batch(sys, c_star, zs, cfg)  # noqa: E731
     else:
         c_star = 0.0 if regime is Domination.A0_DOMINATES else 1.0
-        i = 0 if regime is Domination.A0_DOMINATES else 1
-        phi_x = [phi_extremal(sys, i, x) for x in grid0 + grid1]
-        phi_tx = [phi_extremal(sys, i, float(apply_T(sys, x))) for x in grid0 + grid1]
+        phi = lambda zs: [phi_extremal(sys, int(c_star), z) for z in zs]  # noqa: E731
 
-    xs = grid0 + grid1
+    n0 = grid_size // 2
+    xs = sys.X0.grid(n0) + sys.X1.grid(n0)
+    phis = phi(xs + [float(apply_T(sys, x)) for x in xs])
+    phi_x, phi_tx = phis[: len(xs)], phis[len(xs) :]
+
     f_vals = [f_eval(sys, x) for x in xs]
     g_vals = [f + px - ptx for f, px, ptx in zip(f_vals, phi_x, phi_tx)]
-    fphi = [f + px for f, px in zip(f_vals, phi_x)]
 
     spec = sturmian_interval_endpoints(sys, c_star)
-    in_gamma = []
-    for x in xs:
-        if spec.piece0 is not None and spec.piece0.contains(x):
-            in_gamma.append(True)
-        elif spec.piece1 is not None and spec.piece1.contains(x):
-            in_gamma.append(True)
-        else:
-            in_gamma.append(False)
-
+    pieces = [piece for piece in (spec.piece0, spec.piece1) if piece is not None]
+    in_gamma = [any(piece.contains(x) for piece in pieces) for x in xs]
     gamma_vals = [g for g, ok in zip(g_vals, in_gamma) if ok]
     outside_vals = [g for g, ok in zip(g_vals, in_gamma) if not ok]
     if not gamma_vals:
@@ -464,24 +444,24 @@ def certify(
         min(constant - g for g in outside_vals) if outside_vals else math.inf
     )
 
-    n0 = len(grid0)
-    if regime is Domination.INTERIOR:
-        inc0 = all(b > a for a, b in zip(fphi[:n0], fphi[1:n0]))
-        dec1 = all(b < a for a, b in zip(fphi[n0:], fphi[n0 + 1 :]))
-        monotone_ok = inc0 and dec1
-        certified = (
-            flatness <= FLAT_TOL and exterior_margin > MARGIN_TOL and monotone_ok
-        )
+    def rising(v):
+        return all(b > a for a, b in zip(v, v[1:]))
+
+    def falling(v):
+        return all(b < a for a, b in zip(v, v[1:]))
+
+    if interior:
+        fphi = [f + px for f, px in zip(f_vals, phi_x)]
+        monotone_ok = rising(fphi[:n0]) and falling(fphi[n0:])
     elif regime is Domination.A0_DOMINATES:
-        monotone_ok = all(b < a for a, b in zip(g_vals[n0:], g_vals[n0 + 1 :]))
-        certified = (
-            flatness <= FLAT_TOL and exterior_margin >= -MARGIN_TOL and monotone_ok
-        )
+        monotone_ok = falling(g_vals[n0:])
     else:
-        monotone_ok = all(b > a for a, b in zip(g_vals[:n0], g_vals[1:n0]))
-        certified = (
-            flatness <= FLAT_TOL and exterior_margin >= -MARGIN_TOL and monotone_ok
-        )
+        monotone_ok = rising(g_vals[:n0])
+    certified = (
+        flatness <= FLAT_TOL
+        and (exterior_margin > MARGIN_TOL if interior else exterior_margin >= -MARGIN_TOL)
+        and monotone_ok
+    )
 
     return CertificateReport(
         t=t,

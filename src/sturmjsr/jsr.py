@@ -38,7 +38,7 @@ from .errors import (
 )
 from .matrices import MatrixPair, word_value, word_values
 from .scalar import Number
-from .words import RationalParameter, is_balanced, mechanical_word
+from .words import RationalParameter, is_balanced, mechanical_word, stern_brocot_words
 
 VALUE_TIE_TOL = 1e-12
 
@@ -204,23 +204,22 @@ def sturmian_restricted_max(
     """Maximize the Sturmian value over parameters with denominator <= max_den.
 
     Ties within 1e-12 break toward smaller denominator, then smaller
-    numerator.  The restricted maximum converges to log r of the scaled
-    pair as the denominator cap grows.
+    numerator: the values come from one prefix-shared walk in rising p/q
+    order and are replayed by (q, p).  The restricted maximum converges to
+    log r of the scaled pair as the denominator cap grows.
     """
     if not pair_report(pair).in_D:
         raise NotInClassD("restricted Sturmian search needs the strict cross inequalities")
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
-    fpair = pair.to_float()
     tf = float(t)
+    if not tf > 0:
+        raise NonPositiveScale(f"t must be positive, got {tf}")
+    params, words = itertools.tee(stern_brocot_words(max_den))
+    values = word_values(pair.to_float(), tf, (word for _, _, word in words))
     best: tuple[RationalParameter, float] | None = None
-    for q in range(1, max_den + 1):
-        for p in range(q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            param = RationalParameter(p, q)
-            value = word_value(fpair, tf, mechanical_word(param))
-            if best is None or value > best[1] + VALUE_TIE_TOL:
-                best = (param, value)
+    for (q, p), value in sorted(zip(((q, p) for p, q, _ in params), values)):
+        if best is None or value > best[1] + VALUE_TIE_TOL:
+            best = (RationalParameter(p, q), value)
     assert best is not None
     return best

@@ -18,7 +18,6 @@ Number = Union[int, float, Fraction]
 EXACT_TYPES = (int, Fraction)
 
 # Default comparison policy on the float path.
-REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
@@ -81,24 +80,17 @@ def cmp_affine_surd(u: Number, v: Number, g: Number, w: Number) -> int:
     return sign(r * r - v * v * g)
 
 
-def close(a: Number, b: Number, rel: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
-    """Equality on the exact path, tolerance comparison on the float path."""
-    if is_exact(a, b):
-        return a == b
-    return math.isclose(float(a), float(b), rel_tol=rel, abs_tol=abs_tol)
-
-
-def strictly_positive(x: Number, tol: float = ABS_TOL) -> bool:
-    """Strict positivity; float margins must exceed the tolerance."""
+def strictly_positive(x: Number) -> bool:
+    """Strict positivity; float margins must exceed ABS_TOL."""
     if is_exact(x):
         return x > 0
-    return float(x) > tol
+    return float(x) > ABS_TOL
 
 
-def strictly_negative(x: Number, tol: float = ABS_TOL) -> bool:
+def strictly_negative(x: Number) -> bool:
     if is_exact(x):
         return x < 0
-    return float(x) < -tol
+    return float(x) < -ABS_TOL
 
 
 def parse_scalar(text: str) -> Number:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import ThresholdPair, _thresholds
+from .certify import Domination, ThresholdPair, _domination, _thresholds
 from .dynamics import apply_T, induced_system, itinerary
 from .errors import DomainError, NotInClassD, PlateauNotFound
 from .matrices import Matrix2, MatrixPair, spectral_radius, word_values
@@ -147,16 +147,17 @@ def _validated(pair: MatrixPair, max_den: int) -> tuple[ThresholdPair, _Envelope
 
 
 def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
-    if t <= th.t0:
-        param = RationalParameter(0, 1)
-        value = math.log(float(spectral_radius(pair.A0.to_float())))
-    elif t >= th.t1:
-        param = RationalParameter(1, 1)
-        value = math.log(float(t)) + math.log(float(spectral_radius(pair.A1.to_float())))
-    else:
+    regime = _domination(th, t)
+    if regime is Domination.INTERIOR:
         k = bisect_right(env.breaks, float(t)) - 1
         param = env.params[k]
         value = env.bases[k] + param.p / param.q * math.log(float(t))
+    elif regime is Domination.A0_DOMINATES:
+        param = RationalParameter(0, 1)
+        value = math.log(float(spectral_radius(pair.A0.to_float())))
+    else:
+        param = RationalParameter(1, 1)
+        value = math.log(float(t)) + math.log(float(spectral_radius(pair.A1.to_float())))
     return StaircaseSample(t=t, parameter=param, value=value, word=mechanical_word(param))
 
 

@@ -111,9 +111,16 @@ def rotations(word: str) -> list[str]:
 
 
 def orbit_min_max(param: RationalParameter) -> tuple[str, str]:
-    """Lexicographically least and greatest rotations of the mechanical word."""
-    rots = rotations(mechanical_word(param))
-    return min(rots), max(rots)
+    """Lexicographically least and greatest rotations of the mechanical word.
+
+    The mechanical word is the lower Christoffel word 0u1 (or a single
+    letter), the least of its rotations; u is a palindrome, so the reversal
+    1u0 is the upper Christoffel word, the greatest.  See Berstel, Lauve,
+    Reutenauer and Saliola, Combinatorics on Words: Christoffel Words and
+    Repetitions in Words (2008).
+    """
+    word = mechanical_word(param)
+    return word, word[::-1]
 
 
 def _cmp_periodic_vs_prefix(periodic: str, prefix: str) -> int:

@@ -21,7 +21,13 @@ from sturmjsr import (
     sturmian_restricted_max,
     thresholds,
 )
-from sturmjsr.certify import _brent, delta_extremal_ratio, endpoint_ratio_log, fixed_point_f_value
+from sturmjsr.certify import (
+    _brent,
+    _phi_batch,
+    delta_extremal_ratio,
+    endpoint_ratio_log,
+    fixed_point_f_value,
+)
 from sturmjsr.errors import (
     DomainError,
     NoConvergence,
@@ -68,6 +74,21 @@ def test_phi_series_depth_cap(reference_system):
 
     with pytest.raises(NoConvergence):
         phi_series(reference_system, 0.5, 1.0, TransferSeriesConfig(1e-12, 5))
+
+
+def test_phi_batch_values_do_not_depend_on_the_other_points(reference_system, symmetric_system):
+    # The pieces depend on c only, so each point of a batch reads the same
+    # bits alone, and delta_numeric is its three-point batch.
+    cfg = TransferSeriesConfig()
+    for sys in (reference_system, symmetric_system):
+        ends = [1.0, float(sys.X0.hi), float(sys.X1.lo)]
+        zs = [0.0, 1 / 3, 0.5, 0.9] + ends + [float(sys.X0.lo), float(sys.X1.hi)]
+        for c in (0.0, 0.3, 0.7, 1.0):
+            batch = _phi_batch(sys, c, zs, cfg)
+            for z, value in zip(zs, batch):
+                assert value.hex() == _phi_batch(sys, c, [z], cfg)[0].hex(), (c, z)
+            v_end, v0, v1 = batch[4:7]
+            assert delta_numeric(sys, c).hex() == (v_end - (v0 - v1)).hex()
 
 
 def test_delta_extremal_exact_ratios(reference_system):
@@ -246,22 +267,31 @@ def test_fixed_point_value_closed_form(reference_system):
     assert abs(fixed_point_f_value(reference_system, 1) - f_eval(reference_system, F(16, 17))) <= 1e-12
 
 
-def test_certify_low_scale_dominated(reference_pair):
-    rep = certify(reference_pair, F(1, 8), 256)
-    assert rep.verdict is Verdict.CERTIFIED
-    assert rep.c == 0.0
-    assert rep.interval.piece1 is None
-    assert abs(rep.constant_value) <= 1e-10
-    sys = induced_system(reference_pair, F(1, 8))
-    assert abs(rep.constant_value - fixed_point_f_value(sys, 0)) <= 1e-10
+def test_certify_low_scale_dominated(reference_pair, symmetric_pair):
+    cases = [(reference_pair, F(1, 8))] + [
+        (pair, thresholds(pair).t0 / 2) for pair in (symmetric_pair, reference_pair.to_float())
+    ]
+    for pair, t in cases:
+        rep = certify(pair, t, 256)
+        assert rep.verdict is Verdict.CERTIFIED
+        assert rep.c == 0.0
+        assert rep.interval.piece1 is None
+        sys = induced_system(pair, t)
+        assert abs(rep.constant_value - fixed_point_f_value(sys, 0)) <= 1e-10
+        if pair is reference_pair:  # both Perron values are 1
+            assert abs(rep.constant_value) <= 1e-10
 
 
-def test_certify_upper_threshold_boundary(reference_pair):
-    rep = certify(reference_pair, F(61, 8), 256)
-    assert rep.verdict is Verdict.CERTIFIED
-    assert rep.c == 1.0
-    assert rep.interval.piece0 is None
-    assert rep.exterior_margin >= -1e-8
+def test_certify_upper_threshold_boundary(reference_pair, symmetric_pair):
+    cases = [(reference_pair, F(61, 8))] + [
+        (pair, 2 * thresholds(pair).t1) for pair in (symmetric_pair, reference_pair.to_float())
+    ]
+    for pair, t in cases:
+        rep = certify(pair, t, 256)
+        assert rep.verdict is Verdict.CERTIFIED
+        assert rep.c == 1.0
+        assert rep.interval.piece0 is None
+        assert rep.exterior_margin >= -1e-8
 
 
 def test_certify_interior_scales(reference_pair):
@@ -294,7 +324,7 @@ def test_certify_margin_tracks_offset_near_t0(reference_pair, k):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: at t0*(1 + 1e-12) rounding noise in Delta near c = 0 "
+    reason="ROADMAP item 4: at t0*(1 + 1e-12) rounding noise in Delta near c = 0 "
     "(|h(0)| about 4e-13) moves c* to 3.7e-13 and the margin jumps to 2.5e-2",
 )
 def test_certify_margin_tracks_offset_at_t0_plus_1e_12(reference_pair):

@@ -13,6 +13,7 @@ from sturmjsr import (
     is_balanced,
     jsr_lower_bruteforce,
     jsr_upper_norm,
+    mechanical_word,
     sturmian_restricted_max,
     sturmian_value,
     thresholds,
@@ -20,6 +21,7 @@ from sturmjsr import (
 from sturmjsr.errors import DomainError, NonPositiveMatrix, NotInClassD
 from sturmjsr.jsr import VALUE_TIE_TOL, lyndon_words
 from sturmjsr.matrices import Matrix2, MatrixPair, spectral_radius, word_value
+from sturmjsr.staircase import _envelope
 
 from conftest import random_positive_matrix
 
@@ -239,6 +241,38 @@ def test_restricted_max_agrees_with_bruteforce(reference_pair):
     p, _ = sturmian_restricted_max(reference_pair, 1, 50)
     est = jsr_lower_bruteforce(reference_pair, 1, 12, compute_upper=False)
     assert p == est.argmax_parameter
+
+
+def _restricted_max_by_double_loop(pair, t, max_den):
+    # The search as one word product per parameter, by rising q, then p.
+    fpair, tf = pair.to_float(), float(t)
+    best = None
+    for q in range(1, max_den + 1):
+        for p in range(q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            param = RationalParameter(p, q)
+            value = word_value(fpair, tf, mechanical_word(param))
+            if best is None or value > best[1] + VALUE_TIE_TOL:
+                best = (param, value)
+    return best
+
+
+def test_restricted_max_matches_the_double_loop(reference_pair, symmetric_pair):
+    # Envelope breakpoints are scales where two parameters tie within
+    # VALUE_TIE_TOL, so the tie rule decides there.
+    rng = random.Random(71)
+    for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        th = thresholds(pair)
+        t0, t1 = float(th.t0), float(th.t1)
+        entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
+        for max_den in (1, 2, 13, 40):
+            breaks = [b for b in _envelope(entries, max_den).breaks if t0 < b < t1]
+            scales = rng.sample(breaks, min(3, len(breaks)))
+            scales += [t0 * (t1 / t0) ** rng.uniform(-0.2, 1.2) for _ in range(3)]
+            for t in scales:
+                want = _restricted_max_by_double_loop(pair, t, max_den)
+                assert sturmian_restricted_max(pair, t, max_den) == want, (max_den, t)
 
 
 def test_restricted_max_rejects_outside_class(c_not_d_pair):

@@ -88,9 +88,12 @@ def test_orbit_min_max_values():
 
 
 def test_orbit_min_max_are_rotations():
-    for p, q in ((1, 3), (3, 8), (5, 13), (3, 7)):
-        lo, hi = orbit_min_max(RP(p, q))
-        assert hi in rotations(lo)
+    # The least and greatest rotation, for every parameter with q <= 150.
+    for q in range(1, 151):
+        for p in range(q + 1):
+            if math.gcd(p, q) == 1:
+                rots = rotations(mechanical_word(RP(p, q)))
+                assert orbit_min_max(RP(p, q)) == (min(rots), max(rots)), (p, q)
 
 
 def test_parameter_from_constant_itineraries():
