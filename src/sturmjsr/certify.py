@@ -12,11 +12,22 @@ The series is summed by exact piece bookkeeping: the image of [0, z] under
 tau^n is an ordered union of subintervals, each inside one branch interval,
 so the n-th term is a sum of endpoint differences of f.  A piece carries its
 domain interval, the Moebius coefficients of tau^n there (scaled to largest
-modulus 1), the branch its image lies in, and its two image endpoints,
-computed once when the piece is made.  The pieces do not depend on the
-evaluation points, so one sweep serves any number of them, and f at a
-piece's lower image end is evaluated once per term for all the points in
-it.  Truncation uses the rigorous bound (total image length) * sup|f'|.
+modulus 1), and its two image endpoints, computed once when the piece is
+made; the point loop reads it flattened with the f constants of the branch
+its image lies in.  The pieces do not depend on the evaluation points, so
+one sweep serves any number of them, and f at a piece's lower image end is
+evaluated once per term for all the points in it.  Truncation uses the
+rigorous bound (total image length) * sup|f'|.
+
+The grid runs in floats with the bits of apply_T and f_eval on any pair,
+exact or float.  Mixed Fraction/float arithmetic rounds a subexpression
+free of x to float where it first meets x, and the grid pass rounds each
+such subexpression once per call at that same place:
+
+    T(x) = (float(b+d) x - float(b)) / (float(-alpha) x + float(a) - float(b))
+    f(x) = log(float(det) / (float(-alpha) (x + float(sigma))))  [+ log float(t) on X1]
+
+Neither a reciprocal multiply nor a regrouping is allowed: both move bits.
 
 For the extremal intervals everything is closed-form:
 
@@ -40,10 +51,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .dynamics import (
+    MEMBER_TOL,
     InducedSystem,
+    Interval,
     SturmianIntervalSpec,
-    apply_T,
-    f_eval,
     f_prime_sup,
     induced_system,
     sturmian_interval_endpoints,
@@ -71,8 +82,10 @@ class TransferSeriesConfig:
     max_depth: int = 400
 
     def __post_init__(self):
-        if not self.tail_tolerance > 0:
-            raise DomainError("tail_tolerance must be positive")
+        if not 0 < self.tail_tolerance < math.inf:
+            raise DomainError(
+                f"tail_tolerance must be positive and finite, got {self.tail_tolerance}"
+            )
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
 
@@ -121,15 +134,78 @@ def _moebius(m: Entries, x: float) -> float:
     return (p * x + q) / (r * x + s)
 
 
+def _branch_floats(sys: InducedSystem) -> list[tuple]:
+    """Float constants of both branches, read by the grid pass and the series sweep.
+
+    Branch i is (lo, hi, tau, alpha, sigma, bd, b, a, det, log_t): X_i widened
+    by MEMBER_TOL; the series factor tau = (a - b, b, alpha, b + d) of the
+    float entries; alpha and sigma of the projective data; b + d, b, a and
+    det A_i; log t on X1 and 0.0 on X0.  Each is one subexpression of
+    apply_T or f_eval that does not contain x, rounded once.
+    """
+    out = []
+    for i, (A, pr, X) in enumerate(
+        ((sys.pair.A0, sys.proj0, sys.X0), (sys.pair.A1, sys.proj1, sys.X1))
+    ):
+        a, b, cc, d = (float(v) for v in A.entries())
+        out.append((
+            float(X.lo) - MEMBER_TOL,
+            float(X.hi) + MEMBER_TOL,
+            (a - b, b, a + cc - b - d, b + d),
+            float(pr.alpha),
+            float(pr.sigma),
+            float(A.b + A.d),
+            float(A.b),
+            float(A.a),
+            float(A.det()),
+            math.log(float(sys.t)) if i else 0.0,
+        ))
+    return out
+
+
+def _grid_pass(
+    branches: list[tuple], xs: Sequence[float], gamma: Sequence[Interval]
+) -> tuple[list[float], list[float], list[bool]]:
+    """T(x), f(x) and membership in the intervals gamma for every float x in xs.
+
+    The branch is branch_of's: X0 first, then X1, both widened by MEMBER_TOL.
+    T(x) and f(x) carry the bits of float(apply_T(sys, x)) and f_eval(sys, x)
+    (see the module docstring for the rounding rule).
+    """
+    log = math.log
+    (lo0, hi0, *k0), (lo1, hi1, *k1) = branches
+    bounds = [(float(g.lo) - MEMBER_TOL, float(g.hi) + MEMBER_TOL) for g in gamma]
+    txs, fs, inside = [], [], []
+    for x in xs:
+        if lo0 <= x <= hi0:
+            _tau, alpha, sigma, bd, b, a, det, log_t = k0
+        elif lo1 <= x <= hi1:
+            _tau, alpha, sigma, bd, b, a, det, log_t = k1
+        else:
+            raise DomainError(f"x = {x} has no branch")
+        txs.append((bd * x - b) / (-alpha * x + a - b))
+        # log never returns -0.0, so adding X0's 0.0 keeps the bits.
+        fs.append(log(det / (-alpha * (x + sigma))) + log_t)
+        inside.append(any(lo <= x <= hi for lo, hi in bounds))
+    return txs, fs, inside
+
+
 def _phi_batch(
-    sys: InducedSystem, c: Number, zs: Sequence[float], cfg: TransferSeriesConfig
+    sys: InducedSystem,
+    c: Number,
+    zs: Sequence[float],
+    cfg: TransferSeriesConfig,
+    branches: list[tuple] | None = None,
 ) -> list[float]:
     """Transfer-function values at every z in zs, in one piece sweep.
 
-    A piece is (dom_lo, dom_hi, moebius coefficients, branch, img_lo, img_hi),
-    the moebius map being the restriction of tau^n to the domain interval.
-    The n-th series term for a point z is the sum of f-endpoint differences
-    over the pieces of tau^n([0, z]).
+    A piece is (dom_lo, dom_hi, moebius coefficients, img_lo, img_hi), the
+    moebius map being the restriction of tau^n to the domain interval.  The
+    n-th series term for a point z is the sum of f-endpoint differences over
+    the pieces of tau^n([0, z]); f is taken up to a per-branch additive
+    constant, which cancels in the differences.  The point loop reads each
+    piece flattened to (dom_hi, p, q, r, s, alpha, sigma) of its branch.
+    branches is _branch_floats(sys), built here when not given.
     """
     cf = float(c)
     if not 0.0 <= cf <= 1.0:
@@ -137,33 +213,25 @@ def _phi_batch(
     for z in zs:
         if not -1e-12 <= z <= 1 + 1e-12:
             raise DomainError(f"z = {z} outside [0, 1]")
-
-    branch_maps = []
-    for A in (sys.pair.A0, sys.pair.A1):
-        a, b, cc, d = (float(v) for v in A.entries())
-        branch_maps.append((a - b, b, a + cc - b - d, b + d))
-    consts = [(float(pr.alpha), float(pr.sigma)) for pr in (sys.proj0, sys.proj1)]
-
-    def f_at(x: float, branch: int) -> float:
-        # f up to a per-branch additive constant, which cancels in the
-        # endpoint differences taken below.
-        alpha, sigma = consts[branch]
-        return -math.log(abs(alpha * (x + sigma)))
+    if branches is None:
+        branches = _branch_floats(sys)
+    log = math.log
 
     sup_fp = f_prime_sup(sys)
     tol = cfg.tail_tolerance
 
-    pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), -1, 0.0, 1.0)]
+    pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 1.0)]
     phi = [0.0] * len(zs)
 
     for _ in range(cfg.max_depth):
         new_pieces = []
+        flat = []
         dlos = []
         f_los = []
         prefix = [0.0]
         total_len = 0.0
         acc = 0.0
-        for dlo, dhi, m, _br, img_lo, img_hi in pieces:
+        for dlo, dhi, m, img_lo, img_hi in pieces:
             if img_hi < cf:
                 splits = ((dlo, dhi, 1),)
             elif img_lo >= cf:
@@ -176,15 +244,17 @@ def _phi_batch(
             for lo, hi, branch in splits:
                 if hi <= lo:
                     continue
-                p, q, r, s = _product(branch_maps[branch], m)
+                tau, alpha, sigma = branches[branch][2:5]
+                p, q, r, s = _product(tau, m)
                 norm = max(abs(p), abs(q), abs(r), abs(s))
                 nm = (p / norm, q / norm, r / norm, s / norm)
                 new_lo, new_hi = _moebius(nm, lo), _moebius(nm, hi)
-                new_pieces.append((lo, hi, nm, branch, new_lo, new_hi))
-                f_lo = f_at(new_lo, branch)
+                new_pieces.append((lo, hi, nm, new_lo, new_hi))
+                flat.append((hi, *nm, alpha, sigma))
+                f_lo = -log(abs(alpha * (new_lo + sigma)))
                 dlos.append(lo)
                 f_los.append(f_lo)
-                acc += f_at(new_hi, branch) - f_lo
+                acc += -log(abs(alpha * (new_hi + sigma))) - f_lo
                 prefix.append(acc)
                 total_len += new_hi - new_lo
         pieces = new_pieces
@@ -195,8 +265,10 @@ def _phi_batch(
             idx = bisect_right(dlos, z) - 1
             if idx < 0:
                 continue
-            _dlo, dhi, m, br, _lo, _hi = pieces[idx]
-            phi[k] += prefix[idx] + f_at(_moebius(m, min(z, dhi)), br) - f_los[idx]
+            dhi, p, q, r, s, alpha, sigma = flat[idx]
+            y = z if z < dhi else dhi
+            y = (p * y + q) / (r * y + s)
+            phi[k] += prefix[idx] - log(abs(alpha * (y + sigma))) - f_los[idx]
 
         if total_len * sup_fp < tol:
             return phi
@@ -416,24 +488,23 @@ def certify(
     regime = _domination(_thresholds(sys), t)
 
     interior = regime is Domination.INTERIOR
+    branches = _branch_floats(sys)
     if interior:
         c_star = gamma_of_t(sys, cfg)
-        phi = lambda zs: _phi_batch(sys, c_star, zs, cfg)  # noqa: E731
+        phi = lambda zs: _phi_batch(sys, c_star, zs, cfg, branches)  # noqa: E731
     else:
         c_star = 0.0 if regime is Domination.A0_DOMINATES else 1.0
         phi = lambda zs: [phi_extremal(sys, int(c_star), z) for z in zs]  # noqa: E731
 
     n0 = grid_size // 2
     xs = sys.X0.grid(n0) + sys.X1.grid(n0)
-    phis = phi(xs + [float(apply_T(sys, x)) for x in xs])
-    phi_x, phi_tx = phis[: len(xs)], phis[len(xs) :]
-
-    f_vals = [f_eval(sys, x) for x in xs]
-    g_vals = [f + px - ptx for f, px, ptx in zip(f_vals, phi_x, phi_tx)]
-
     spec = sturmian_interval_endpoints(sys, c_star)
     pieces = [piece for piece in (spec.piece0, spec.piece1) if piece is not None]
-    in_gamma = [any(piece.contains(x) for piece in pieces) for x in xs]
+    txs, f_vals, in_gamma = _grid_pass(branches, xs, pieces)
+    phis = phi(xs + txs)
+    phi_x, phi_tx = phis[: len(xs)], phis[len(xs) :]
+    g_vals = [f + px - ptx for f, px, ptx in zip(f_vals, phi_x, phi_tx)]
+
     gamma_vals = [g for g, ok in zip(g_vals, in_gamma) if ok]
     outside_vals = [g for g, ok in zip(g_vals, in_gamma) if not ok]
     if not gamma_vals:

@@ -116,7 +116,11 @@ def induced_system(pair: MatrixPair, t: Number = 1) -> InducedSystem:
     The one class check of a public call, made before the scale check; class
     D callers read sys.report.
     """
-    report = pair_report(pair)
+    return _system_of_report(pair, pair_report(pair), t)
+
+
+def _system_of_report(pair: MatrixPair, report: PairClassReport, t: Number) -> InducedSystem:
+    """induced_system for a caller that already holds the pair's class report."""
     if not report.in_C:
         raise NotInClassC(f"pair is not concave-convex: margins {report.inequality_margins}")
     return InducedSystem(

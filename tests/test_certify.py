@@ -22,12 +22,15 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.certify import (
+    _branch_floats,
     _brent,
+    _grid_pass,
     _phi_batch,
     delta_extremal_ratio,
     endpoint_ratio_log,
     fixed_point_f_value,
 )
+from sturmjsr.dynamics import apply_T, f_eval, sturmian_interval_endpoints
 from sturmjsr.errors import (
     DomainError,
     NoConvergence,
@@ -67,6 +70,12 @@ def test_phi_series_matches_extremal_closed_forms(reference_system, symmetric_sy
 def test_phi_series_vanishes_at_zero(reference_system):
     for c in (0.0, 0.3, 0.7, 1.0):
         assert phi_series(reference_system, c, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("tol", [0, -1e-12, math.nan, math.inf, 1e400])
+def test_tail_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(DomainError):
+        TransferSeriesConfig(tail_tolerance=tol)
 
 
 def test_phi_series_depth_cap(reference_system):
@@ -261,8 +270,6 @@ def test_brent_matches_scipy_brentq_bit_for_bit(reference_pair, symmetric_pair):
 
 
 def test_fixed_point_value_closed_form(reference_system):
-    from sturmjsr import f_eval
-
     assert abs(fixed_point_f_value(reference_system, 0) - f_eval(reference_system, F(1, 15))) <= 1e-12
     assert abs(fixed_point_f_value(reference_system, 1) - f_eval(reference_system, F(16, 17))) <= 1e-12
 
@@ -331,3 +338,70 @@ def test_certify_margin_tracks_offset_at_t0_plus_1e_12(reference_pair):
     offset = F(1, 10**12)
     rep = certify(reference_pair, F(24, 77) * (1 + offset))
     assert 0 < rep.exterior_margin <= 100 * offset
+
+
+@pytest.mark.parametrize("grid_size", [64, 1024])
+def test_grid_pass_matches_apply_T_and_f_eval(reference_pair, symmetric_pair, grid_size):
+    # certify's grid, at scales in both domination regimes and inside; the
+    # X1 values at t != 1 carry the log t term.
+    n0 = grid_size // 2
+    drawn = _class_pairs(random.Random(18), 2)
+    pairs = [reference_pair, symmetric_pair, reference_pair.to_float()]
+    for pair in pairs + drawn + [pair.to_float() for pair in drawn]:
+        th = thresholds(pair)
+        for t in (th.t0 / 2, 1, 2 * th.t1):
+            sys = induced_system(pair, t)
+            xs = sys.X0.grid(n0) + sys.X1.grid(n0)
+            spec = sturmian_interval_endpoints(sys, 0.37)
+            gamma = [spec.piece0, spec.piece1]
+            txs, fs, inside = _grid_pass(_branch_floats(sys), xs, gamma)
+            for x, tx, fx, ok in zip(xs, txs, fs, inside):
+                assert tx.hex() == float(apply_T(sys, x)).hex(), (pair, t, x)
+                assert fx.hex() == f_eval(sys, x).hex(), (pair, t, x)
+                assert ok == any(piece.contains(x) for piece in gamma), (pair, t, x)
+
+
+def test_grid_pass_rejects_a_point_in_the_gap(reference_system):
+    gap = float(reference_system.X0.hi + reference_system.X1.lo) / 2
+    with pytest.raises(DomainError):
+        _grid_pass(_branch_floats(reference_system), [gap], [])
+
+
+# float.hex of c, constant_value, flatness and exterior_margin, and the verdict.
+PINNED_CERTIFICATES = {
+    "reference-t-1": (
+        ("0x1.11c3550264a69p-1", "0x1.71e9f39975681p-2", "0x1.6300000000000p-44",
+         "0x1.7645b8b8dd300p-9"),
+        Verdict.CERTIFIED,
+    ),
+    "reference-t0-plus-2e-9": (
+        ("0x1.4d4e6dc01a712p-30", "0x1.2de5600000000p-44", "0x1.5974000000000p-43",
+         "0x1.12d6373ac0000p-29"),
+        Verdict.INCONCLUSIVE,
+    ),
+    "d2-t-3/2-grid-1024": (
+        ("0x1.5468488d0b9dep-1", "0x1.dea2c71f669fap-1", "0x1.7a00000000000p-46",
+         "0x1.b12b1ac32d800p-12"),
+        Verdict.CERTIFIED,
+    ),
+    "float-reference-2-t1": (
+        ("0x1.0000000000000p+0", "0x1.5cbf056a7bb23p+1", "0x1.8000000000000p-49",
+         "0x1.62e42fefa39e0p-1"),
+        Verdict.CERTIFIED,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CERTIFICATES))
+def test_certificate_bits_are_pinned(reference_pair, symmetric_pair, case):
+    # A change that moves any bit of these certificates must say so here.
+    float_pair = reference_pair.to_float()
+    pair, t, grid_size = {
+        "reference-t-1": (reference_pair, F(1), 256),
+        "reference-t0-plus-2e-9": (reference_pair, F(24, 77) * (1 + F(2, 10**9)), 256),
+        "d2-t-3/2-grid-1024": (symmetric_pair, F(3, 2), 1024),
+        "float-reference-2-t1": (float_pair, 2 * thresholds(float_pair).t1, 256),
+    }[case]
+    rep = certify(pair, t, grid_size)
+    values = (rep.c, rep.constant_value, rep.flatness, rep.exterior_margin)
+    assert (tuple(v.hex() for v in values), rep.verdict) == PINNED_CERTIFICATES[case]

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import json
 import math
 import random
 import sys
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,7 @@ from sturmjsr import (
     staircase_scan,
     thresholds,
 )
+from sturmjsr.cli import main
 from sturmjsr.errors import NonPositiveScale, SingularTransform
 
 from conftest import random_positive_matrix, random_rational
@@ -206,6 +212,19 @@ def test_class_C_linear_factor_signs(reference_pair):
             assert x + sys.proj1.rho < 0
 
 
+def _classify_cli(pair):
+    """Run the classify command on the pair written to a pair file."""
+    doc = {
+        name: [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+        for name, m in (("A0", pair.A0), ("A1", pair.A1))
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["classify", str(path)]) == 0
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -218,6 +237,7 @@ def test_class_C_linear_factor_signs(reference_pair):
         lambda pair: certify(pair, 1),
         lambda pair: certify(pair, F(1, 8)),
         lambda pair: certify(pair, 8),
+        _classify_cli,
     ],
     ids=[
         "parameter_map",
@@ -229,6 +249,7 @@ def test_class_C_linear_factor_signs(reference_pair):
         "certify-interior",
         "certify-A0",
         "certify-A1",
+        "cli-classify",
     ],
 )
 def test_public_call_classifies_the_pair_once(reference_pair, monkeypatch, call):

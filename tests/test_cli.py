@@ -193,6 +193,8 @@ def test_counterexample_command(pair_file, capsys):
         ["jsr", "--t", "nan", "--max-len", "3"],
         ["jsr", "--t", "1e400", "--max-len", "3"],
         ["staircase", "--t-min", "1", "--t-max", "inf", "--samples", "12", "--max-den", "12"],
+        ["certify", "--t", "1", "--tail-tol", "inf"],
+        ["certify", "--t", "3", "--tail-tol", "1e400"],
     ],
     ids=[
         "staircase-cap-0",
@@ -206,6 +208,8 @@ def test_counterexample_command(pair_file, capsys):
         "jsr-t-nan",
         "jsr-t-overflow",
         "staircase-t-max-inf",
+        "certify-tail-tol-inf",
+        "certify-tail-tol-overflow",
     ],
 )
 def test_bad_flag_values_exit_1(pair_file, capsys, argv):
