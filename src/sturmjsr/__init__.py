@@ -82,7 +82,6 @@ from .words import (
     is_balanced,
     mechanical_word,
     orbit_min_max,
-    parameter_from_itinerary,
     sturmian_orbit_points,
 )
 

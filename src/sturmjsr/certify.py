@@ -211,7 +211,7 @@ def _phi_batch(
     if not 0.0 <= cf <= 1.0:
         raise DomainError(f"c = {c} outside [0, 1]")
     for z in zs:
-        if not -1e-12 <= z <= 1 + 1e-12:
+        if not -MEMBER_TOL <= z <= 1 + MEMBER_TOL:
             raise DomainError(f"z = {z} outside [0, 1]")
     if branches is None:
         branches = _branch_floats(sys)
@@ -342,7 +342,7 @@ def _thresholds(sys: InducedSystem) -> ThresholdPair:
 
 def domination_check(pair: MatrixPair, t: Number) -> Domination:
     """Which regime the scale t falls in; boundaries count as domination."""
-    return _domination(thresholds(pair), t)
+    return _domination(_thresholds(induced_system(pair, t)), t)
 
 
 def _domination(th: ThresholdPair, t: Number) -> Domination:

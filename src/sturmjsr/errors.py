@@ -53,9 +53,5 @@ class PlateauNotFound(SturmJsrError):
     """No sampled scale value produced the requested Sturmian parameter."""
 
 
-class PrefixTooShort(SturmJsrError):
-    """A lexicographic comparison is undecidable at the available prefix length."""
-
-
 class PairFileError(SturmJsrError):
     """A matrix-pair input file is malformed."""

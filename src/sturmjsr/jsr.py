@@ -7,9 +7,8 @@ enumerates one representative per primitive necklace (Lyndon words, via
 Duval's generator) instead of all 2^n words.  Consecutive Lyndon words share
 long prefixes, and matrices.word_values multiplies only the letters past
 the prefix each word shares with the one before.  The ergodic-average route
-evaluates the induced function along the periodic orbit of the word and
-must agree with the product route; the two sides are kept independent so
-each can check the other.
+sums the induced function along the periodic orbit of the word and must
+agree with the product's spectral radius, so each can check the other.
 
 Upper bounds come from the entrywise sum norm, which is submultiplicative,
 so every product length yields a valid bound and the minimum over lengths
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .classify import pair_report
-from .dynamics import InducedSystem, apply_T, f_eval, periodic_point
+from .dynamics import InducedSystem, f_eval, periodic_orbit
 from .errors import (
     DomainError,
     EmptyWord,
@@ -184,18 +183,12 @@ def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> flo
 def ergodic_average_f(sys: InducedSystem, word: str) -> float:
     """Average of the induced function over the periodic orbit of the word.
 
-    Independent route to the word value: the orbit is found by contraction
-    iteration and the induced function is summed along it, never touching
-    the matrix product.
+    Second route to the word value: the orbit comes from the product's fixed
+    point and the contractions, but the value is the sum of the induced
+    function along it, not the product's spectral radius.
     """
-    if not word:
-        raise EmptyWord("ergodic average needs a non-empty word")
-    x = periodic_point(sys, word)
-    total = 0.0
-    for _ in word:
-        total += f_eval(sys, x)
-        x = apply_T(sys, x)
-    return total / len(word)
+    orbit = periodic_orbit(sys, word)
+    return math.fsum(f_eval(sys, x) for x in orbit) / len(orbit)
 
 
 def sturmian_restricted_max(

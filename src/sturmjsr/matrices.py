@@ -7,7 +7,7 @@ the derived quantities
     gamma = sqrt((a - d)^2 + 4bc)  (non-negative root)
     rho   = 2b / (beta + gamma)    (larger root of alpha z^2 + beta z - b)
     sigma = (b - a) / alpha        delta = (b + d) / alpha
-    p     = (beta + gamma) / (2 alpha)   (fixed point of the induced map)
+    p     = 2b / (gamma - beta), or (beta + gamma) / (2 alpha) if beta > 0
     lam   = (a + d + gamma) / 2          (Perron eigenvalue)
 
 together with the identity gamma^2 - beta^2 = 4 b alpha.  All formulas stay
@@ -154,7 +154,7 @@ def projective_data(A: Matrix2) -> ProjectiveData:
     rho = 2 * b / (beta + gamma)
     sigma = (b - a) / alpha
     delta = (b + d) / alpha
-    p = (beta + gamma) / (2 * alpha)
+    p = _fixed_point(alpha, beta, gamma, b)
     lam = (a + d + gamma) / 2
     minor = (a + d - gamma) / 2
     data = ProjectiveData(
@@ -175,6 +175,28 @@ def projective_data(A: Matrix2) -> ProjectiveData:
     if not math.isclose(float(lam), float(lam_alt), rel_tol=1e-12, abs_tol=1e-12):
         raise DomainError(f"Perron value formulas disagree: {lam} vs {lam_alt}")
     return data
+
+
+def _fixed_point(alpha: Number, beta: Number, gamma: Number, b: Number) -> Number:
+    """Root in (0, 1) of alpha x^2 - beta x - b, from the form that adds terms of one sign.
+
+    The two forms are equal, since gamma^2 - beta^2 = 4 b alpha.  The
+    quadratic is -b at 0 and c at 1, so beta > 0 forces alpha > 0, and
+    alpha = 0 forces beta < 0: neither form cancels or divides by zero.
+    """
+    if beta <= 0:
+        return 2 * b / (gamma - beta)
+    return (beta + gamma) / (2 * alpha)
+
+
+def fixed_point(A: Matrix2) -> Number:
+    """Attracting fixed point in (0, 1) of the induced map of a matrix with positive entries.
+
+    It needs neither det A > 0 nor alpha != 0, so it also serves float
+    products whose determinant rounds to zero or below.
+    """
+    a, b, c, d = A.entries()
+    return _fixed_point(a + c - b - d, a - d - 2 * b, sqrt_number(gamma_squared(A)), b)
 
 
 def _radius(a: Number, b: Number, c: Number, d: Number) -> Number:

@@ -1,13 +1,16 @@
 """Scale-to-parameter map, staircase scans, plateaus, and counterexample search.
 
 The parameter map sends a scale t to the frequency of symbol 1 of the
-maximizing Sturmian measure of (A0, t*A1).  It is 0 up to the lower
-threshold, 1 from the upper threshold on, and a devil's staircase in
-between: non-decreasing, constant on a plateau at every rational value,
-injective at irrational values.  At a finite denominator cap the map is the
-upper envelope of the lines base(p/q) + (p/q) log t, whose breakpoints are
-the plateau edges; each parameter's restricted plateau contains its true
-plateau, which is what makes the counterexample search's bracket rigorous.
+maximizing Sturmian measure of (A0, t*A1).  It is a devil's staircase:
+non-decreasing, constant on a plateau at every rational value, injective
+at irrational values.  The plateau of 0 runs past the lower threshold t0
+until the matched coordinate c* reaches the fixed point x0 of branch 0
+(the reference pair reads 0 at t = 0.33 > t0 = 0.3117), and that of 1
+starts before t1, where c* reaches x1.  At a finite denominator cap the map
+is the upper envelope of the lines base(p/q) + (p/q) log t, whose
+breakpoints are the plateau edges; each parameter's restricted plateau
+contains its true plateau, which is what makes the counterexample search's
+bracket rigorous.
 """
 
 from __future__ import annotations
@@ -21,16 +24,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import Domination, ThresholdPair, _domination, _thresholds
-from .dynamics import apply_T, induced_system, itinerary
+from .dynamics import InducedSystem, induced_system, periodic_point_budget
 from .errors import DomainError, NotInClassD, PlateauNotFound
-from .matrices import Matrix2, MatrixPair, spectral_radius, word_values
+from .matrices import (
+    Matrix2,
+    MatrixPair,
+    _normalised,
+    _product,
+    fixed_point,
+    spectral_radius,
+    word_values,
+)
 from .scalar import Number
 from .words import (
     ParameterBracket,
     RationalParameter,
     farey_neighbors,
     mechanical_word,
-    parameter_from_itinerary,
     stern_brocot_words,
 )
 
@@ -135,9 +145,9 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
     )
 
 
-def _validated(pair: MatrixPair, max_den: int) -> tuple[ThresholdPair, _Envelope]:
-    """Class and cap checks, then the thresholds and the envelope of the pair."""
-    sys = induced_system(pair)
+def _validated(pair: MatrixPair, max_den: int, t: Number = 1) -> tuple[ThresholdPair, _Envelope]:
+    """Class, scale and cap checks, then the thresholds and the envelope of the pair."""
+    sys = induced_system(pair, t)
     if not sys.report.in_D:
         raise NotInClassD("the parameter map needs the strict cross inequalities")
     if max_den < 1:
@@ -163,9 +173,7 @@ def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> S
 
 def parameter_map(pair: MatrixPair, t: Number, max_den: int) -> StaircaseSample:
     """Best Sturmian parameter at scale t, at denominator resolution max_den."""
-    th, env = _validated(pair, max_den)
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t}")
+    th, env = _validated(pair, max_den, t)
     return _sample(pair, th, env, t)
 
 
@@ -187,34 +195,54 @@ def staircase_scan(
     return [_sample(pair, th, env, lo * ratio**k) for k in range(samples)]
 
 
-def parameter_bracket_of_coordinate(sys, c: Number, depth: int = 64) -> ParameterBracket:
-    """Parameter bracket of the Sturmian interval with image coordinate c.
+def parameter_bracket_of_coordinate(sys: InducedSystem, c: Number) -> ParameterBracket:
+    """Parameter of the Sturmian interval with image coordinate c, or a bracket.
 
-    Follows the orbit of c.  If it escapes the branch intervals, the
-    symbolic position at the escape step is bracketed by the padded
-    continuations: between w01^inf and w10^inf for an escape into the
-    central gap, and w0^inf resp. w1^inf for escapes below the left or
-    above the right branch image.  The two padded prefixes are then pushed
-    through the usual descent.
+    Each parameter owns a closed interval of c; the intervals rise with the
+    parameter and do not depend on t.  That of 0/1 is [0, x0] and that of
+    1/1 is [x1, 1], x_i the fixed point of branch i.  That of p/q, whose
+    mechanical word is 0u1, runs from the periodic point of X = u01 to that
+    of Y = u10, one step past the orbit's least and greatest points 0u1 and
+    1u0 (orbit_min_max).  The central word of the mediant of L and R is
+    u_L 10 u_R = u_R 01 u_L (Berstel, Lauve, Reutenauer and Saliola,
+    Combinatorics on Words, 2008), so X = Y_L X_R and Y = X_R Y_L, from
+    Y = 0 at 0/1 and X = 1 at 1/1: the Stern-Brocot descent carries the
+    normalized float products of Y_L and X_R, two 2x2 products a step.
+
+    A q-letter end is within periodic_point_budget(q) of the truth: a
+    product of two products adds the same 3u per entry as a letter.  The
+    result is exact when c, read as a float, lies inside an interval by more
+    than that budget.  Within budget of an end, the descent goes on toward
+    it until c is also within budget of an end on the other side, and the
+    two parameters that meet there are the bracket.
     """
-    prefix, escaped = itinerary(sys, c, depth)
-    pad = 3 * depth + 8
-    if escaped is None:
-        return parameter_from_itinerary(prefix, depth)
-    x = float(c)
-    for _ in range(escaped):
-        x = float(apply_T(sys, x))
-    if x < float(sys.X0.lo):
-        lo_word = hi_word = (prefix + "0" * pad)[:pad]
-    elif x > float(sys.X1.hi):
-        lo_word = hi_word = (prefix + "1" * pad)[:pad]
-    else:
-        lo_word = (prefix + "0" + "1" * pad)[:pad]
-        hi_word = (prefix + "1" + "0" * pad)[:pad]
-    lo = parameter_from_itinerary(lo_word, depth)
-    hi = parameter_from_itinerary(hi_word, depth)
-    exact = lo.exact if (lo.exact is not None and lo.exact == hi.exact) else None
-    return ParameterBracket(lo.lower, hi.upper, exact)
+    cf = float(c)
+    if not 0.0 <= cf <= 1.0:
+        raise DomainError(f"c = {c} outside [0, 1]")
+    pair = sys.pair.to_float()
+    lo, hi, y_lo, x_hi = (0, 1), (1, 1), pair.A0.entries(), pair.A1.entries()
+    e = periodic_point_budget(1)
+    x0, x1 = fixed_point(pair.A0), fixed_point(pair.A1)
+    if cf < x0 - e or cf > x1 + e:
+        exact = RationalParameter(*(lo if cf < x0 - e else hi))
+        return ParameterBracket(exact, exact, exact)
+    near_lo, near_hi = cf <= x0 + e, cf >= x1 - e
+    while not (near_lo and near_hi):
+        m = (lo[0] + hi[0], lo[1] + hi[1])
+        x_m = _normalised(_product(y_lo, x_hi), 0.0)[0]
+        y_m = _normalised(_product(x_hi, y_lo), 0.0)[0]
+        c_lo, c_hi = fixed_point(Matrix2(*x_m)), fixed_point(Matrix2(*y_m))
+        e = periodic_point_budget(m[1])
+        if c_lo + e < cf < c_hi - e:
+            exact = RationalParameter(*m)
+            return ParameterBracket(exact, exact, exact)
+        if cf <= c_lo + e and cf >= c_hi - e:
+            break  # within budget of both ends: m or either side of it
+        if cf <= c_lo + e:
+            hi, x_hi, near_hi = m, x_m, cf >= c_lo - e
+        else:
+            lo, y_lo, near_lo = m, y_m, cf <= c_hi + e
+    return ParameterBracket(RationalParameter(*lo), RationalParameter(*hi))
 
 
 def _plateau(th: ThresholdPair, env: _Envelope, param: RationalParameter, max_den: int):

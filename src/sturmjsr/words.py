@@ -1,11 +1,9 @@
-"""Balanced binary words, mechanical words, and rational bracketing.
+"""Balanced binary words, mechanical words, and rational parameters.
 
 The mechanical word of a reduced rational p/q is the length-q word with
 k-th letter floor((k+1)p/q) - floor(kp/q); it has exactly p ones, and its
 cyclic rotations generate the periodic orbit whose invariant measure has
-parameter p/q.  Bracketing an unknown parameter from an itinerary prefix
-descends the Stern-Brocot tree, comparing periodic orbit extremes against
-the two one-letter extensions of the prefix.
+parameter p/q.
 """
 
 from __future__ import annotations
@@ -15,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import DomainError, EmptyWord, PrefixTooShort
-from .dynamics import InducedSystem, periodic_point
+from .errors import DomainError, EmptyWord
+from .dynamics import InducedSystem, periodic_orbit
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,6 @@ def is_balanced(word: str) -> bool:
     return True
 
 
-def rotations(word: str) -> list[str]:
-    return [word[i:] + word[:i] for i in range(len(word))]
-
-
 def orbit_min_max(param: RationalParameter) -> tuple[str, str]:
     """Lexicographically least and greatest rotations of the mechanical word.
 
@@ -121,74 +115,6 @@ def orbit_min_max(param: RationalParameter) -> tuple[str, str]:
     """
     word = mechanical_word(param)
     return word, word[::-1]
-
-
-def _cmp_periodic_vs_prefix(periodic: str, prefix: str) -> int:
-    """Lexicographic comparison of periodic^inf against a finite word.
-
-    A difference anywhere in the available prefix decides the comparison.
-    Agreement through the whole prefix counts as equality only when the
-    prefix covers at least three periods; with less evidence the outcome
-    could flip on a longer itinerary, so it raises instead of guessing.
-    """
-    q = len(periodic)
-    for i in range(len(prefix)):
-        a, b = periodic[i % q], prefix[i]
-        if a != b:
-            return 1 if a > b else -1
-    if len(prefix) >= 3 * q:
-        return 0
-    raise PrefixTooShort(
-        f"comparison undecided after {len(prefix)} letters; lengthen the itinerary"
-    )
-
-
-def parameter_from_itinerary(omega_prefix: str, depth: int = 64) -> ParameterBracket:
-    """Bracket the parameter of the Sturmian interval [0w, 1w] from a prefix of w.
-
-    Stern-Brocot descent: starting from [0/1, 1/1], test the mediant's
-    periodic orbit extremes against the extensions 0w and 1w.  An orbit
-    fitting inside [0w, 1w] identifies the parameter exactly; an orbit
-    maximum above 1w sends the search left, an orbit minimum below 0w sends
-    it right.  After `depth` steps the open bracket is returned.
-    """
-    if not omega_prefix:
-        raise EmptyWord("itinerary prefix must be non-empty")
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-    seq0 = "0" + omega_prefix
-    seq1 = "1" + omega_prefix
-
-    def classify(frac: Fraction) -> int:
-        # 0: orbit fits inside [0w, 1w]; +1: sticks out right; -1: left.
-        wmin, wmax = orbit_min_max(RationalParameter.from_fraction(frac))
-        if _cmp_periodic_vs_prefix(wmax, seq1) > 0:
-            return 1
-        if _cmp_periodic_vs_prefix(wmin, seq0) < 0:
-            return -1
-        return 0
-
-    for endpoint in (Fraction(0), Fraction(1)):
-        if classify(endpoint) == 0:
-            exact = RationalParameter.from_fraction(endpoint)
-            return ParameterBracket(exact, exact, exact)
-
-    lo, hi = Fraction(0), Fraction(1)
-    for _ in range(depth):
-        mediant = Fraction(
-            lo.numerator + hi.numerator, lo.denominator + hi.denominator
-        )
-        side = classify(mediant)
-        if side == 0:
-            exact = RationalParameter.from_fraction(mediant)
-            return ParameterBracket(exact, exact, exact)
-        if side > 0:
-            hi = mediant
-        else:
-            lo = mediant
-    return ParameterBracket(
-        RationalParameter.from_fraction(lo), RationalParameter.from_fraction(hi)
-    )
 
 
 def farey_neighbors(x: Fraction, max_den: int) -> tuple[Fraction, Fraction]:
@@ -216,5 +142,5 @@ def farey_neighbors(x: Fraction, max_den: int) -> tuple[Fraction, Fraction]:
 
 
 def sturmian_orbit_points(sys: InducedSystem, param: RationalParameter) -> list[float]:
-    """The q points of the periodic orbit with itinerary mechanical_word(param)."""
-    return sorted(periodic_point(sys, rot) for rot in rotations(mechanical_word(param)))
+    """The q points of the periodic orbit with itinerary mechanical_word(param), sorted."""
+    return sorted(periodic_orbit(sys, mechanical_word(param)))

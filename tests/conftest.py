@@ -54,3 +54,21 @@ def random_positive_matrix(rng: random.Random) -> Matrix2:
 
 def random_rational(rng: random.Random, lo=1, hi=40) -> F:
     return F(rng.randint(lo, hi), rng.randint(lo, hi))
+
+
+def mp_periodic_point(mpmath, pair, word: str):
+    """Periodic point of the word in mpmath's working precision.
+
+    The Perron vector (b, lam - a) of the exact product, lam its larger
+    eigenvalue; no formula is shared with the library.
+    """
+    mats = {
+        "0": [mpmath.mpf(F(x).numerator) / F(x).denominator for x in pair.A0.entries()],
+        "1": [mpmath.mpf(F(x).numerator) / F(x).denominator for x in pair.A1.entries()],
+    }
+    a, b, c, d = mats[word[0]]
+    for ch in word[1:]:
+        e, f, g, h = mats[ch]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    lam = (a + d + mpmath.sqrt((a - d) ** 2 + 4 * b * c)) / 2
+    return b / (b + lam - a)

@@ -34,6 +34,7 @@ from sturmjsr.dynamics import apply_T, f_eval, sturmian_interval_endpoints
 from sturmjsr.errors import (
     DomainError,
     NoConvergence,
+    NonPositiveScale,
     NotInClassC,
     NotInClassD,
     OutOfInteriorRange,
@@ -168,6 +169,13 @@ def test_domination_regimes(reference_pair):
     assert domination_check(reference_pair, F(1, 4)) is Domination.A0_DOMINATES
     assert domination_check(reference_pair, F(61, 8)) is Domination.A1_DOMINATES
     assert domination_check(reference_pair, 1) is Domination.INTERIOR
+
+
+def test_domination_check_rejects_a_non_positive_scale(reference_pair):
+    # Both read A0Dominates before the check went through the system at t.
+    for t in (-1, 0, F(0), -0.5):
+        with pytest.raises(NonPositiveScale):
+            domination_check(reference_pair, t)
 
 
 def test_gamma_of_t_limits_and_residual(reference_pair):

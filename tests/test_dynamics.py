@@ -8,20 +8,30 @@ import pytest
 from sturmjsr import (
     Matrix2,
     MatrixPair,
+    RationalParameter,
     f_eval,
     hybrid_contraction_eval,
     induced_inverse_eval,
     induced_map_eval,
     induced_system,
     itinerary,
+    mechanical_word,
     pair_report,
     periodic_point,
     projective_data,
     sturmian_interval_endpoints,
     word_product,
 )
-from sturmjsr.dynamics import apply_T, branch_of, contraction_eval
+from sturmjsr.dynamics import (
+    apply_T,
+    branch_of,
+    contraction_eval,
+    periodic_orbit,
+    periodic_point_budget,
+)
 from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassC, NotInClassD
+
+from conftest import mp_periodic_point
 
 
 def test_induced_map_values(reference_pair, symmetric_pair):
@@ -132,6 +142,63 @@ def test_periodic_point_matches_product_fixed_point(reference_pair, symmetric_pa
             prod, _ = word_product(pair, F(1), word)
             expect = projective_data(prod).fixed_point
             assert abs(periodic_point(sys, word) - float(expect)) <= 1e-10
+
+
+def _iterated_periodic_point(sys, word):
+    """The composed contraction iterated from 1/2 until a step is below 1e-14."""
+    x = 0.5
+    for _ in range(10000):
+        y = x
+        for ch in reversed(word):
+            y = float(contraction_eval(sys, int(ch), y))
+        if abs(y - x) < 1e-14:
+            return y
+        x = y
+    raise AssertionError(f"no convergence for {word!r}")
+
+
+def test_periodic_point_matches_the_iteration(reference_pair, symmetric_pair):
+    rng = random.Random(34)
+    for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        sys = induced_system(pair, 1)
+        for _ in range(40):
+            word = "".join(rng.choice("01") for _ in range(rng.randint(1, 24)))
+            assert abs(periodic_point(sys, word) - _iterated_periodic_point(sys, word)) <= 1e-13
+
+
+def test_periodic_point_of_a_letter_within_budget(reference_system):
+    # The iteration stopped 9.1e-15 away from 1/15.
+    assert abs(periodic_point(reference_system, "0") - 1 / 15) <= periodic_point_budget(1)
+    assert abs(periodic_point(reference_system, "1") - 16 / 17) <= periodic_point_budget(1)
+
+
+def test_periodic_point_within_budget_of_mpmath(reference_pair, symmetric_pair):
+    mpmath = pytest.importorskip("mpmath")
+    params = ((1, 2), (2, 5), (8, 21), (1, 40), (39, 40), (55, 144), (89, 233), (1, 320), (99, 320))
+    for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        sys = induced_system(pair, 1)
+        for p, q in params:
+            word = mechanical_word(RationalParameter(p, q))
+            for k in sorted({0, 1, q // 3, q - 1}):
+                rot = word[k:] + word[:k]
+                with mpmath.workdps(60):
+                    want = mp_periodic_point(mpmath, pair, rot)
+                    err = abs(periodic_point(sys, rot) - want)
+                assert err <= periodic_point_budget(q), (p, q, k, float(err))
+
+
+def test_periodic_orbit_walks_the_rotations(reference_pair, symmetric_pair):
+    rng = random.Random(35)
+    for pair in (reference_pair, symmetric_pair):
+        sys = induced_system(pair, 1)
+        for _ in range(20):
+            word = "".join(rng.choice("01") for _ in range(rng.randint(1, 30)))
+            orbit = periodic_orbit(sys, word)
+            assert len(orbit) == len(word)
+            for k, x in enumerate(orbit):
+                assert branch_of(sys, x) == int(word[k])
+                rot = word[k:] + word[:k]
+                assert abs(x - periodic_point(sys, rot)) <= 2 * periodic_point_budget(len(word))
 
 
 def test_itinerary_of_periodic_points(reference_pair, symmetric_pair):

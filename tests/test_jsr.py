@@ -215,6 +215,26 @@ def test_ergodic_average_matches_product_route(reference_pair, symmetric_pair):
                 ) <= 1e-10
 
 
+def test_ergodic_average_matches_product_route_on_long_mechanical_words(
+    reference_pair, symmetric_pair
+):
+    # The expanding walk raised DomainError from 21/55 on, and was 1.1e-2
+    # off at 1/100 and 1.8e-2 off at 8/21 on the d2 pair.
+    for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        for t in (F(1, 2), F(3)):
+            sys = induced_system(pair, t)
+            for q in (21, 55, 89, 144):
+                for p in (1, q // 3, (q - 1) // 2, q - 1):
+                    if math.gcd(p, q) != 1:
+                        continue
+                    word = mechanical_word(RationalParameter(p, q))
+                    want = word_value(pair.to_float(), float(t), word)
+                    assert abs(ergodic_average_f(sys, word) - want) <= 1e-12, (p, q, t)
+    sys = induced_system(reference_pair, 1)
+    word = mechanical_word(RationalParameter(1, 100))
+    assert abs(ergodic_average_f(sys, word) - word_value(reference_pair, 1.0, word)) <= 1e-12
+
+
 def test_ergodic_average_unbalanced_word(reference_pair):
     sys = induced_system(reference_pair, F(3, 2))
     got = ergodic_average_f(sys, "0011")

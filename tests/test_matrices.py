@@ -14,7 +14,7 @@ from sturmjsr import (
     word_product,
 )
 from sturmjsr.errors import DomainError, EmptyWord, NonPositiveMatrix, NonPositiveScale
-from sturmjsr.matrices import word_value, word_values
+from sturmjsr.matrices import fixed_point, word_value, word_values
 
 from conftest import random_positive_matrix
 
@@ -42,6 +42,41 @@ def test_projective_data_fixed_point_is_fixed(reference_pair):
 
     d0 = projective_data(reference_pair.A0)
     assert induced_map_eval(reference_pair.A0, d0.fixed_point) == d0.fixed_point
+
+
+def test_fixed_point_is_correctly_rounded_on_float_paths(reference_pair, symmetric_pair):
+    # The d2 pair's square roots are irrational, so its data is float too.
+    # (beta + gamma) / (2 alpha) gave 0.2898979485566356, 0.7101020514433645
+    # and 0.06666666666666668 here, each the wrong neighbour of the truth.
+    mpmath = pytest.importorskip("mpmath")
+    ref = reference_pair.to_float()
+    for A in (symmetric_pair.A0, symmetric_pair.A1, ref.A0, ref.A1):
+        with mpmath.workdps(40):
+            a, b, c, d = (mpmath.mpf(F(x).numerator) / F(x).denominator for x in A.entries())
+            beta = a - d - 2 * b
+            want = float(2 * b / (mpmath.sqrt((a - d) ** 2 + 4 * b * c) - beta))
+        assert projective_data(A).fixed_point == want, A
+        assert fixed_point(A) == want, A
+
+
+def test_fixed_point_agrees_with_projective_data_exactly():
+    rng = random.Random(61)
+    for _ in range(300):
+        A = Matrix2(*(F(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(4)))
+        if A.det() <= 0 or A.a + A.c == A.b + A.d:
+            continue
+        p = projective_data(A).fixed_point
+        assert fixed_point(A) == p
+        if isinstance(p, F):
+            assert A.moebius(p) == p
+
+
+def test_fixed_point_needs_no_positive_determinant():
+    # A rounded product can lose det > 0, and alpha = 0 is allowed.
+    assert fixed_point(Matrix2(1, 1, 1, 1)) == F(1, 2)
+    assert fixed_point(Matrix2(2, 1, 1, 2)) == F(1, 2)
+    x = fixed_point(Matrix2(1.0, 2.0, 3.0, 1.0))
+    assert 0 < x < 1 and abs(Matrix2(1.0, 2.0, 3.0, 1.0).moebius(x) - x) <= 1e-15
 
 
 def test_projective_data_rejects_bad_matrices():

@@ -1,3 +1,5 @@
+import bisect
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -8,6 +10,7 @@ from sturmjsr import (
     Domination,
     Matrix2,
     MatrixPair,
+    ParameterBracket,
     RationalParameter,
     counterexample_search,
     domination_check,
@@ -15,16 +18,19 @@ from sturmjsr import (
     induced_system,
     mechanical_word,
     parameter_map,
+    periodic_point,
     plateau_bounds,
     staircase_scan,
     sturmian_restricted_max,
     thresholds,
 )
-from sturmjsr.errors import DomainError, NotInClassD, PlateauNotFound, PrefixTooShort
+from sturmjsr.dynamics import periodic_point_budget
+from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
 from sturmjsr.matrices import spectral_radius
-from sturmjsr.staircase import _sturmian_table
+from sturmjsr.staircase import _sturmian_table, parameter_bracket_of_coordinate
+from sturmjsr.words import stern_brocot_words
 
-from conftest import random_positive_matrix
+from conftest import mp_periodic_point, random_positive_matrix
 
 
 def test_parameter_map_regimes(reference_pair):
@@ -240,8 +246,6 @@ def test_counterexample_validates_target(reference_pair):
 def test_interior_parameter_consistent_with_interval_coordinate(reference_pair):
     # The restricted-search parameter and the bracket from the matched
     # interval coordinate's symbolic position identify the same rational.
-    from sturmjsr.staircase import parameter_bracket_of_coordinate
-
     th = thresholds(reference_pair)
     t0, t1 = float(th.t0), float(th.t1)
     for k in range(10):
@@ -249,10 +253,7 @@ def test_interior_parameter_consistent_with_interval_coordinate(reference_pair):
         sys = induced_system(reference_pair, t)
         param, _ = sturmian_restricted_max(reference_pair, t, 50)
         c_star = gamma_of_t(sys)
-        try:
-            bracket = parameter_bracket_of_coordinate(sys, c_star, 64)
-        except PrefixTooShort:
-            continue
+        bracket = parameter_bracket_of_coordinate(sys, c_star)
         if bracket.exact is not None:
             assert bracket.exact == param, (t, param, bracket)
         else:
@@ -261,3 +262,102 @@ def test_interior_parameter_consistent_with_interval_coordinate(reference_pair):
                 <= param.as_fraction()
                 <= bracket.upper.as_fraction()
             ), (t, param, bracket)
+
+
+def test_parameter_map_rejects_a_non_positive_scale(reference_pair):
+    for t in (0, -1.0):
+        with pytest.raises(NonPositiveScale):
+            parameter_map(reference_pair, t, 10)
+
+
+def _c_interval(point, p, q, word):
+    """The c-interval of p/q from a periodic-point function of words."""
+    if q == 1:
+        return (0, point("0")) if p == 0 else (point("1"), 1)
+    u = word[1:-1]
+    return point(u + "01"), point(u + "10")
+
+
+def test_descent_reads_the_extremal_and_half_parameters(reference_system, symmetric_system):
+    for sys in (reference_system, symmetric_system):
+        assert parameter_bracket_of_coordinate(sys, 0).exact == RationalParameter(0, 1)
+        assert parameter_bracket_of_coordinate(sys, 1).exact == RationalParameter(1, 1)
+        gap = (sys.X0.hi + sys.X1.lo) / 2  # inside the interval of 1/2
+        assert parameter_bracket_of_coordinate(sys, gap).exact == RationalParameter(1, 2)
+    with pytest.raises(DomainError):
+        parameter_bracket_of_coordinate(reference_system, 1.5)
+    with pytest.raises(DomainError):
+        parameter_bracket_of_coordinate(reference_system, math.nan)
+
+
+def test_descent_reads_every_interval_midpoint(reference_pair, symmetric_pair):
+    # A midpoint is inside its interval by more than the budget whenever
+    # the width exceeds 8 budgets, whatever the rounding of either route.
+    for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        sys = induced_system(pair, 1)
+        point = functools.partial(periodic_point, sys)
+        resolved = 0
+        for p, q, word in stern_brocot_words(20):
+            lo, hi = _c_interval(point, p, q, word)
+            if hi - lo > 8 * periodic_point_budget(q):
+                bracket = parameter_bracket_of_coordinate(sys, (lo + hi) / 2)
+                assert bracket.exact == RationalParameter(p, q), (p, q, bracket)
+                resolved += 1
+        assert resolved >= 60
+
+
+def test_descent_brackets_are_monotone_in_c(reference_pair, symmetric_pair):
+    rng = random.Random(71)
+    for pair in (reference_pair, symmetric_pair):
+        sys = induced_system(pair, 1)
+        point = functools.partial(periodic_point, sys)
+        cs = [rng.random() for _ in range(400)]
+        for p, q, word in stern_brocot_words(12):
+            for end in _c_interval(point, p, q, word):
+                cs += [end, math.nextafter(end, 0.0), math.nextafter(end, 1.0)]
+        brackets = [parameter_bracket_of_coordinate(sys, c) for c in sorted(cs)]
+        for a, b in zip(brackets, brackets[1:]):
+            assert a.lower.as_fraction() <= b.lower.as_fraction()
+            assert a.upper.as_fraction() <= b.upper.as_fraction()
+            assert (a.exact is None) == (a.lower != a.upper)
+
+
+def test_descent_agrees_with_mpmath_intervals(reference_pair, symmetric_pair):
+    # Every interval end with q <= 20, at 0, 1 and 3 ulp and 1e-13 and 1e-9
+    # on either side, plus uniform draws.  Inside a 60-digit interval the
+    # answer must hold its parameter; between two intervals it must reach
+    # strictly between their parameters.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(72)
+    for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        sys = induced_system(pair, 1)
+        with mpmath.workdps(60):
+            point = functools.partial(mp_periodic_point, mpmath, pair)
+            rows = [(F(p, q), *_c_interval(point, p, q, w)) for p, q, w in stern_brocot_words(20)]
+        ends = [float(x) for _, lo, hi in rows for x in (lo, hi)]
+        cs = [x + k * math.ulp(x) for x in ends for k in (-3, -1, 0, 1, 3)]
+        cs += [x + d for x in ends for d in (-1e-9, -1e-13, 1e-13, 1e-9)]
+        cs += [rng.random() for _ in range(200)]
+        his = [hi for _, _, hi in rows]
+        for c in (c for c in cs if 0 <= c <= 1):
+            b = parameter_bracket_of_coordinate(sys, c)
+            lower, upper = b.lower.as_fraction(), b.upper.as_fraction()
+            with mpmath.workdps(60):
+                k = bisect.bisect_left(his, mpmath.mpf(c))  # first interval not left of c
+                inside = rows[k][1] <= c
+            # An exact answer has lower = upper = exact.
+            if inside:
+                assert lower <= rows[k][0] <= upper, (c, b)
+            else:  # the parameter lies strictly between the neighbours' ones
+                assert rows[k - 1][0] < upper and lower < rows[k][0], (c, b)
+
+
+def test_descent_pinned_coordinates(reference_system):
+    # The itinerary route raised PrefixTooShort at the first coordinate,
+    # 1e-9 inside the 4.4e-5-wide interval of 32/33, and read 25/37 at the
+    # second, 3.1e-17 inside the interval of 2/3 at its upper end: within
+    # budget of that end, so 2/3 and the parameter across it bracket c.
+    bracket = parameter_bracket_of_coordinate(reference_system, 0.9409410856833611)
+    assert bracket.exact == RationalParameter(32, 33)
+    bracket = parameter_bracket_of_coordinate(reference_system, 0.7450989375448602)
+    assert bracket == ParameterBracket(RationalParameter(2, 3), RationalParameter(21, 31))

@@ -7,19 +7,24 @@ import pytest
 
 from sturmjsr import (
     RationalParameter,
+    induced_system,
     is_balanced,
     mechanical_word,
     orbit_min_max,
-    parameter_from_itinerary,
+    periodic_point,
     sturmian_orbit_points,
 )
-from sturmjsr.dynamics import branch_of
-from sturmjsr.errors import DomainError, PrefixTooShort
-from sturmjsr.words import farey_neighbors, rotations, stern_brocot_words
+from sturmjsr.dynamics import branch_of, periodic_point_budget
+from sturmjsr.errors import DomainError
+from sturmjsr.words import farey_neighbors, stern_brocot_words
 
 
 def RP(p, q):
     return RationalParameter(p, q)
+
+
+def rotations(word):
+    return [word[i:] + word[:i] for i in range(len(word))]
 
 
 def test_mechanical_words_small_slopes():
@@ -96,42 +101,6 @@ def test_orbit_min_max_are_rotations():
                 assert orbit_min_max(RP(p, q)) == (min(rots), max(rots)), (p, q)
 
 
-def test_parameter_from_constant_itineraries():
-    assert parameter_from_itinerary("0" * 32, 10).exact == RP(0, 1)
-    assert parameter_from_itinerary("1" * 32, 10).exact == RP(1, 1)
-    assert parameter_from_itinerary("01" * 16, 10).exact == RP(1, 2)
-
-
-def test_parameter_round_trip_through_orbit_minimum():
-    for q in range(1, 21):
-        for p in range(q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            lo, _ = orbit_min_max(RP(p, q))
-            stream = (lo * 8)[1:]  # drop the leading 0 of the minimal rotation
-            prefix = stream[: max(3 * q + 8, 24)]
-            bracket = parameter_from_itinerary(prefix, 64)
-            assert bracket.exact == RP(p, q), (p, q, bracket)
-
-
-def test_parameter_bracket_monotone_in_prefix():
-    params = [(0, 1), (1, 5), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (1, 1)]
-    prefixes = []
-    for p, q in params:
-        lo, _ = orbit_min_max(RP(p, q))
-        prefixes.append((lo * 12)[1:][:60])
-    prefixes.sort()
-    brackets = [parameter_from_itinerary(w, 64) for w in prefixes]
-    for a, b in zip(brackets, brackets[1:]):
-        assert a.lower.as_fraction() <= b.lower.as_fraction() + F(1, 10**6)
-        assert a.upper.as_fraction() <= b.upper.as_fraction() + F(1, 10**6)
-
-
-def test_parameter_from_short_prefix_raises():
-    with pytest.raises(PrefixTooShort):
-        parameter_from_itinerary("01", 10)
-
-
 def test_farey_neighbors_against_bruteforce():
     target = F((3 - math.sqrt(5)) / 2)
     for cap in (10, 20, 40):
@@ -173,3 +142,16 @@ def test_orbit_points_branch_counts(reference_system):
         pts = sturmian_orbit_points(reference_system, RP(p, q))
         ones = sum(1 for x in pts if branch_of(reference_system, x) == 1)
         assert len(pts) == q and ones == p
+
+
+def test_orbit_points_are_the_periodic_points_of_the_rotations(reference_pair, symmetric_pair):
+    # The backward walk against one closed-form periodic point per rotation.
+    for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        sys = induced_system(pair, 1)
+        for p, q in ((0, 1), (1, 1), (1, 2), (2, 5), (5, 13), (8, 21), (21, 55), (34, 89)):
+            pts = sturmian_orbit_points(sys, RP(p, q))
+            want = sorted(periodic_point(sys, r) for r in rotations(mechanical_word(RP(p, q))))
+            assert len(pts) == q
+            # Each side is within budget of the true orbit.
+            worst = max(abs(a - b) for a, b in zip(pts, want))
+            assert worst <= 2 * periodic_point_budget(q), (p, q)
