@@ -238,7 +238,14 @@ def _phi_batch(
                 splits = ((dlo, dhi, 0),)
             else:
                 p, q, r, s = m
-                sx = (s * cf - q) / (-r * cf + p)
+                den = -r * cf + p
+                if den == 0:
+                    # Deep pieces are nearly rank one, and their inverse at c
+                    # can round to a pole.
+                    raise NoConvergence(
+                        f"the series cannot split a piece at c = {cf}: its inverse rounds to a pole"
+                    )
+                sx = (s * cf - q) / den
                 sx = min(max(sx, dlo), dhi)
                 splits = ((dlo, sx, 1), (sx, dhi, 0))
             for lo, hi, branch in splits:
@@ -494,7 +501,9 @@ def certify(
         phi = lambda zs: _phi_batch(sys, c_star, zs, cfg, branches)  # noqa: E731
     else:
         c_star = 0.0 if regime is Domination.A0_DOMINATES else 1.0
-        phi = lambda zs: [phi_extremal(sys, int(c_star), z) for z in zs]  # noqa: E731
+        # phi_extremal's bits: a float z meets a Fraction rho as float(rho).
+        rho = float(sys.proj0.rho if c_star == 0.0 else sys.proj1.rho)
+        phi = lambda zs: [math.log((z + rho) / rho) for z in zs]  # noqa: E731
 
     n0 = grid_size // 2
     xs = sys.X0.grid(n0) + sys.X1.grid(n0)

@@ -5,8 +5,8 @@ finite binary words w of (1/|w|) log r(A_t(w)).  The spectral radius of a
 product is a class function of the word's necklace, so the brute force
 enumerates one representative per primitive necklace (Lyndon words, via
 Duval's generator) instead of all 2^n words.  Consecutive Lyndon words share
-long prefixes, and matrices.word_values multiplies only the letters past
-the prefix each word shares with the one before.  The ergodic-average route
+long prefixes, whose lengths Duval's successor fixes, and the float walk of
+matrices multiplies only the letters past them.  The ergodic-average route
 sums the induced function along the periodic orbit of the word and must
 agree with the product's spectral radius, so each can check the other.
 
@@ -35,7 +35,7 @@ from .errors import (
     NotInClassC,
     NotInClassD,
 )
-from .matrices import MatrixPair, word_value, word_values
+from .matrices import MatrixPair, _walk, word_value, word_values
 from .scalar import Number
 from .words import RationalParameter, is_balanced, mechanical_word, stern_brocot_words
 
@@ -75,6 +75,21 @@ def lyndon_words(max_len: int) -> Iterator[str]:
             w = w[:-1] + "1"
 
 
+def _duval_steps(words: Iterator[str]) -> Iterator[tuple[int, str]]:
+    """(k, word) for consecutive Lyndon words, k the length of the prefix shared with the last.
+
+    Duval's successor repeats the previous word out to max_len, cuts it
+    after its last 0 and raises that 0 to 1.  So w[:-1] runs along prev,
+    and on past prev's end, and w's last letter differs from prev's letter
+    in that place, if prev has one: k is min(len(prev), len(w) - 1).
+    """
+    prev = 0
+    for word in words:
+        n = len(word)
+        yield (prev if prev < n else n - 1), word
+        prev = n
+
+
 def _check_bruteforce_args(pair: MatrixPair, t: Number, max_len: int) -> None:
     if not (pair.A0.is_positive() and pair.A1.is_positive()):
         raise NonPositiveMatrix("brute force needs positive entries")
@@ -91,15 +106,15 @@ def jsr_lower_bruteforce(
 
     Ties within 1e-12 go to the lexicographically least representative,
     which is the first one the walk meets.  Each value has the same bits as
-    word_value, since word_values and word_product take the same
-    normalized steps.  The parameter field is the reduced letter frequency of
-    the winner when that word is balanced, and None otherwise.
+    word_value, since word_value's product comes from the same walk.  The
+    parameter field is the reduced letter frequency of the winner when that
+    word is balanced, and None otherwise.
     """
     _check_bruteforce_args(pair, t, max_len)
     best_value = -math.inf
     best_word = ""
     words, walked = itertools.tee(lyndon_words(max_len))
-    for word, value in zip(words, word_values(pair, t, walked)):
+    for word, value in zip(words, _walk(pair, t, _duval_steps(walked), [])):
         if value > best_value + VALUE_TIE_TOL:
             best_value, best_word = value, word
 

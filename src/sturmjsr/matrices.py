@@ -13,6 +13,13 @@ the derived quantities
 together with the identity gamma^2 - beta^2 = 4 b alpha.  All formulas stay
 on the exact rational path whenever the entries are rational and the
 radicand is a perfect square; otherwise they degrade to floats.
+
+Float word products and per-letter values come from one walk over a stack
+of prefix products, which multiplies only the letters past the prefix a
+word shares with the word before.  The caller gives that prefix's length:
+the brute force reads it off Duval's successor, and word_values, whose
+words may come in any order, off the XOR of the two words read as binary
+numbers.
 """
 
 from __future__ import annotations
@@ -78,9 +85,6 @@ class Matrix2:
         else:
             inv = 1.0 / det
         return Matrix2(inv * self.d, -inv * self.b, -inv * self.c, inv * self.a)
-
-    def max_abs_entry(self) -> Number:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
 Entries = tuple[Number, Number, Number, Number]
@@ -240,9 +244,8 @@ def q_poly_eval(A: Matrix2, z: Number) -> Number:
 def _normalised(prod: Entries, log_scale: float) -> tuple[Entries, float]:
     """One float normalization step: prod / m and log_scale + log m, m = max |entry|.
 
-    The division is a multiply by the reciprocal.  Every float product in
-    this module takes this step after each letter, which is what makes the
-    prefix-shared walk and word_product agree bit for bit.
+    The division is a multiply by the reciprocal.  _walk takes this step,
+    inlined, after each letter.
     """
     a, b, c, d = prod
     m = max(abs(a), abs(b), abs(c), abs(d))
@@ -250,47 +253,77 @@ def _normalised(prod: Entries, log_scale: float) -> tuple[Entries, float]:
     return (r * a, r * b, r * c, r * d), log_scale + math.log(m)
 
 
-def _float_products(
-    pair: MatrixPair, t: Number, words: Iterable[str]
-) -> Iterator[tuple[str, Entries, float]]:
-    """Each non-empty binary word with its normalized float product and log scale.
+# One prefix of a walked word: its normalized product (a, b, c, d), the sum
+# of the logs normalized out of it, and its count of 1s.
+Row = tuple[float, float, float, float, float, int]
 
-    A stack holds the normalized products of the previous word's prefixes;
-    only the letters past the prefix it shares with the next word are
-    multiplied.  Words in rising lexicographic order share the most.  Each
-    prefix is stepped the same way whatever word it came from, so a
-    product's bits do not depend on the words walked before it.
+
+def _walk(
+    pair: MatrixPair, t: Number, steps: Iterable[tuple[int, str]], stack: list[Row]
+) -> Iterator[float]:
+    """(1/n) log r(A_t(w)) on the float path, for each (k, w) of steps.
+
+    Each w is a non-empty binary word whose first k letters are those of
+    the word before it; the caller knows k, or 0 for none.  stack holds a
+    Row per prefix of the word before, w[:1], w[:2], ..., so only the
+    letters past the shared prefix are multiplied, after which the last Row
+    is w's product.  Each prefix is stepped the same way whatever word it
+    came from, so a value's bits do not depend on the words walked before
+    it.  The scale of t enters only through the count of 1s, after the
+    product.
     """
-    factors = {"0": pair.A0.to_float().entries(), "1": pair.A1.to_float().entries()}
+    f0, f1 = pair.A0.to_float().entries(), pair.A1.to_float().entries()
+    (e0, s0), (e1, s1) = _normalised(f0, 0.0), _normalised(f1, 0.0)
+    firsts = {"0": (*e0, s0, 0), "1": (*e1, s1, 1)}
+    factors = {"0": (*f0, 0), "1": (*f1, 1)}
     log_t = math.log(float(t))
-    stack: list[tuple[Entries, float]] = []  # prev[:1], prev[:2], ...
+    log, sqrt = math.log, math.sqrt
+    for k, word in steps:
+        del stack[k:]
+        if not k:
+            stack.append(firsts[word[0]])
+            k = 1
+        a, b, c, d, s, n = stack[-1]
+        for ch in word[k:]:
+            e, f, g, h, one = factors[ch]
+            n += one
+            pa, pb, pc, pd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            m = max(abs(pa), abs(pb), abs(pc), abs(pd))
+            r = 1.0 / m
+            a, b, c, d, s = r * pa, r * pb, r * pc, r * pd, s + log(m)
+            stack.append((a, b, c, d, s, n))
+        # _radius, bit for bit: of |tr - root| and |tr + root|, the larger has tr's sign.
+        tr = a + d
+        det = a * d - b * c
+        disc = tr * tr - 4 * det
+        if disc < 0:
+            rad = sqrt(det)
+        else:
+            root = sqrt(disc)
+            rad = (tr + root) / 2 if tr >= 0 else (root - tr) / 2
+        yield (log(rad) + (s + n * log_t)) / len(word)
+
+
+def _xor_steps(words: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(k, word) for words in any order, k the length of the prefix shared with the last."""
     prev = ""
     for word in words:
         n = min(len(prev), len(word))
         # Read as binary numbers, the first n letters first differ at the
         # highest set bit of their XOR.
-        k = n - (int(word[:n], 2) ^ int(prev[:n], 2)).bit_length() if n else 0
-        del stack[k:]
-        for ch in word[k:]:
-            if stack:
-                prod, log_scale = stack[-1]
-                stack.append(_normalised(_product(prod, factors[ch]), log_scale))
-            else:
-                stack.append(_normalised(factors[ch], 0.0))
+        yield (n - (int(word[:n], 2) ^ int(prev[:n], 2)).bit_length() if n else 0), word
         prev = word
-        prod, log_scale = stack[-1]
-        yield word, prod, log_scale + word.count("1") * log_t
 
 
 def word_values(pair: MatrixPair, t: Number, words: Iterable[str]) -> Iterator[float]:
     """word_value(pair, t, w) for each word w, bit for bit, on the float path.
 
     The words must be non-empty and over {0, 1}, and t positive; callers
-    check.  Each word costs one multiply per letter past the prefix it
-    shares with the word before, so feed them in rising lexicographic order.
+    check.  The words may come in any order, so the prefix each shares with
+    the word before is read off the two words.  Each word costs one multiply
+    per letter past it, so feed them in rising lexicographic order.
     """
-    for word, prod, log_scale in _float_products(pair, t, words):
-        yield (math.log(_radius(*prod)) + log_scale) / len(word)
+    return _walk(pair, t, _xor_steps(words), [])
 
 
 def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Number]:
@@ -318,8 +351,13 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
             prod = prod.mul(factors[ch])
         return prod, Fraction(0)
 
-    _, prod, log_scale = next(_float_products(pair, t, (word,)))
-    return Matrix2(*prod), log_scale
+    stack: list[Row] = []
+    try:
+        next(_walk(pair, t, ((0, word),), stack))
+    except ValueError:
+        pass  # a nilpotent product has no log radius, but it is on the stack
+    a, b, c, d, log_scale, ones = stack[-1]
+    return Matrix2(a, b, c, d), log_scale + ones * math.log(float(t))
 
 
 def word_value(pair: MatrixPair, t: Number, word: str) -> float:

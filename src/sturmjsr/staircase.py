@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .certify import Domination, ThresholdPair, _domination, _thresholds
 from .dynamics import InducedSystem, induced_system, periodic_point_budget
-from .errors import DomainError, NotInClassD, PlateauNotFound
+from .errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
 from .matrices import (
     Matrix2,
     MatrixPair,
@@ -185,8 +185,10 @@ def staircase_scan(
     max_den: int,
 ) -> list[StaircaseSample]:
     """Geometrically spaced samples of the parameter map, sorted by t."""
-    if not (0 < float(t_min) < float(t_max)):
-        raise DomainError("need 0 < t_min < t_max")
+    if not float(t_min) > 0:
+        raise NonPositiveScale(f"t_min must be positive, got {t_min}")
+    if not float(t_min) < float(t_max):
+        raise DomainError("need t_min < t_max")
     if samples < 2:
         raise DomainError("need at least 2 samples")
     th, env = _validated(pair, max_den)

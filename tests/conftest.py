@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from sturmjsr import Matrix2, MatrixPair, d2_pair, induced_system
+from sturmjsr.matrices import spectral_radius
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +74,30 @@ def mp_periodic_point(mpmath, pair, word: str):
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     lam = (a + d + mpmath.sqrt((a - d) ** 2 + 4 * b * c)) / 2
     return b / (b + lam - a)
+
+
+def word_value_oracle(pair: MatrixPair, t: float, word: str) -> float:
+    """Per-letter log spectral radius of (A0, t*A1) on a word, one word at a time.
+
+    Each letter multiplies, then divides by the largest |entry| as a
+    reciprocal multiply and adds its log; t enters after the product as
+    ones * log t, added to the log scale.  That is the library walk's order,
+    so the bits must match, but the product, the normalization and the
+    radius are spelled out here rather than shared with the walk.
+    """
+    fpair = pair.to_float()
+    factors = {"0": fpair.A0, "1": fpair.A1}
+    prod, log_scale = None, 0.0
+    for ch in word:
+        f = factors[ch]
+        if prod is not None:
+            f = Matrix2(
+                prod.a * f.a + prod.b * f.c,
+                prod.a * f.b + prod.b * f.d,
+                prod.c * f.a + prod.d * f.c,
+                prod.c * f.b + prod.d * f.d,
+            )
+        m = max(abs(f.a), abs(f.b), abs(f.c), abs(f.d))
+        prod, log_scale = f.scaled(1.0 / m), log_scale + math.log(m)
+    log_scale += word.count("1") * math.log(t)
+    return (math.log(spectral_radius(prod)) + log_scale) / len(word)

@@ -101,6 +101,15 @@ def test_phi_batch_values_do_not_depend_on_the_other_points(reference_system, sy
             assert delta_numeric(sys, c).hex() == (v_end - (v0 - v1)).hex()
 
 
+def test_series_split_at_a_rounded_pole_raises_no_convergence(symmetric_system):
+    # At the float upper end of the 23/25 c-interval of the d2 pair, a deep
+    # piece's inverse denominator -r c + p rounds to 0 at tail 1e-15.
+    c = 0.7101020119684661
+    assert math.isfinite(delta_numeric(symmetric_system, c))
+    with pytest.raises(NoConvergence):
+        delta_numeric(symmetric_system, c, TransferSeriesConfig(tail_tolerance=1e-15))
+
+
 def test_delta_extremal_exact_ratios(reference_system):
     assert delta_extremal_ratio(reference_system, 0) == F(77, 30)
     assert delta_extremal_ratio(reference_system, 1) == F(32, 305)
@@ -397,6 +406,16 @@ PINNED_CERTIFICATES = {
          "0x1.62e42fefa39e0p-1"),
         Verdict.CERTIFIED,
     ),
+    "reference-t-1/8": (
+        ("0x0.0p+0", "-0x1.3240000000000p-55", "0x1.e800000000000p-51",
+         "0x1.d3cf2b4d5cfd2p-1"),
+        Verdict.CERTIFIED,
+    ),
+    "reference-t-20": (
+        ("0x1.0000000000000p+0", "0x1.7f7427b73e388p+1", "0x1.8000000000000p-49",
+         "0x1.edb8b922adb84p-1"),
+        Verdict.CERTIFIED,
+    ),
 }
 
 
@@ -409,6 +428,8 @@ def test_certificate_bits_are_pinned(reference_pair, symmetric_pair, case):
         "reference-t0-plus-2e-9": (reference_pair, F(24, 77) * (1 + F(2, 10**9)), 256),
         "d2-t-3/2-grid-1024": (symmetric_pair, F(3, 2), 1024),
         "float-reference-2-t1": (float_pair, 2 * thresholds(float_pair).t1, 256),
+        "reference-t-1/8": (reference_pair, F(1, 8), 256),
+        "reference-t-20": (reference_pair, F(20), 256),
     }[case]
     rep = certify(pair, t, grid_size)
     values = (rep.c, rep.constant_value, rep.flatness, rep.exterior_margin)

@@ -193,6 +193,7 @@ def test_counterexample_command(pair_file, capsys):
         ["jsr", "--t", "nan", "--max-len", "3"],
         ["jsr", "--t", "1e400", "--max-len", "3"],
         ["staircase", "--t-min", "1", "--t-max", "inf", "--samples", "12", "--max-den", "12"],
+        ["staircase", "--t-min", "0", "--t-max", "16", "--samples", "12", "--max-den", "12"],
         ["certify", "--t", "1", "--tail-tol", "inf"],
         ["certify", "--t", "3", "--tail-tol", "1e400"],
     ],
@@ -208,6 +209,7 @@ def test_counterexample_command(pair_file, capsys):
         "jsr-t-nan",
         "jsr-t-overflow",
         "staircase-t-max-inf",
+        "staircase-t-min-zero",
         "certify-tail-tol-inf",
         "certify-tail-tol-overflow",
     ],

@@ -23,7 +23,7 @@ from sturmjsr.jsr import VALUE_TIE_TOL, lyndon_words
 from sturmjsr.matrices import Matrix2, MatrixPair, spectral_radius, word_value
 from sturmjsr.staircase import _envelope
 
-from conftest import random_positive_matrix
+from conftest import random_positive_matrix, word_value_oracle
 
 
 def _necklace_min(word: str) -> str:
@@ -127,11 +127,34 @@ def test_lower_walk_matches_word_value_route(reference_pair, symmetric_pair):
         for n in range(1, 13):
             best_value, best_word = -math.inf, ""
             for word in lyndon_words(n):
-                value = word_value(fpair, t, word)
+                value = word_value_oracle(fpair, t, word)
                 if value > best_value + VALUE_TIE_TOL:
                     best_value, best_word = value, word
             est = jsr_lower_bruteforce(pair, t, n, compute_upper=False)
             assert (est.lower, est.argmax_word) == (best_value, best_word), (pair, t, n)
+
+
+# float.hex of lower and upper, and the argmax word, at max_len 16.
+PINNED_ESTIMATES = {
+    "reference-t-1": ("0x1.71e9f39975600p-2", "0x1.9c6dc46e52958p-2", "01"),
+    "reference-t0-half": ("-0x1.f000000000000p-52", "0x1.1e6860999a28dp-4", "0"),
+    "reference-2-t1": ("0x1.5cbf056a7bb22p+1", "0x1.6b5d5dccba7cap+1", "1"),
+    "d2-t-3/2": ("0x1.dea2c71f66a18p-1", "0x1.f78aad597a05ep-1", "011"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ESTIMATES))
+def test_bruteforce_bits_are_pinned(reference_pair, symmetric_pair, case):
+    # A change that moves any bit of these estimates must say so here.
+    th = thresholds(reference_pair)
+    pair, t = {
+        "reference-t-1": (reference_pair, F(1)),
+        "reference-t0-half": (reference_pair, th.t0 / 2),
+        "reference-2-t1": (reference_pair, 2 * th.t1),
+        "d2-t-3/2": (symmetric_pair, F(3, 2)),
+    }[case]
+    est = jsr_lower_bruteforce(pair, t, 16)
+    assert (est.lower.hex(), est.upper.hex(), est.argmax_word) == PINNED_ESTIMATES[case]
 
 
 def _exhaustive_sum_norm_bounds(pair, t, max_len):
@@ -146,7 +169,7 @@ def _exhaustive_sum_norm_bounds(pair, t, max_len):
         for M, s in level:
             for B in gens:
                 P = M.mul(B)
-                m = P.max_abs_entry()
+                m = max(abs(x) for x in P.entries())
                 nxt.append((P.scaled(1.0 / m), s + math.log(m)))
         level = nxt
     return bounds

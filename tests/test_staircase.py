@@ -1,5 +1,6 @@
 import bisect
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -8,7 +9,6 @@ import pytest
 
 from sturmjsr import (
     Domination,
-    Matrix2,
     MatrixPair,
     ParameterBracket,
     RationalParameter,
@@ -26,11 +26,10 @@ from sturmjsr import (
 )
 from sturmjsr.dynamics import periodic_point_budget
 from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
-from sturmjsr.matrices import spectral_radius
 from sturmjsr.staircase import _sturmian_table, parameter_bracket_of_coordinate
 from sturmjsr.words import stern_brocot_words
 
-from conftest import mp_periodic_point, random_positive_matrix
+from conftest import mp_periodic_point, random_positive_matrix, word_value_oracle
 
 
 def test_parameter_map_regimes(reference_pair):
@@ -75,28 +74,6 @@ def test_plateau_midpoints_agree_with_direct_search(reference_pair):
     assert checked > 100
 
 
-def _word_value_oracle(factors: dict, word: str) -> float:
-    """Per-letter log spectral radius at t = 1, one word at a time.
-
-    Each letter multiplies, then divides by the largest |entry| as a
-    reciprocal multiply and adds its log.  The product is spelled out
-    because Matrix2.mul shares its formula with the walk under test.
-    """
-    prod, log_scale = None, 0.0
-    for ch in word:
-        f = factors[ch]
-        if prod is not None:
-            f = Matrix2(
-                prod.a * f.a + prod.b * f.c,
-                prod.a * f.b + prod.b * f.d,
-                prod.c * f.a + prod.d * f.c,
-                prod.c * f.b + prod.d * f.d,
-            )
-        m = f.max_abs_entry()
-        prod, log_scale = f.scaled(1.0 / m), log_scale + math.log(m)
-    return (math.log(spectral_radius(prod)) + log_scale) / len(word)
-
-
 def test_sturmian_table_bits_match_per_word_products(reference_pair, symmetric_pair):
     rng = random.Random(20260)
     pairs = [reference_pair, symmetric_pair, reference_pair.to_float()] + [
@@ -104,17 +81,33 @@ def test_sturmian_table_bits_match_per_word_products(reference_pair, symmetric_p
     ]
     for pair in pairs:
         fpair = pair.to_float()
-        factors = {"0": fpair.A0, "1": fpair.A1}
         rows = _sturmian_table(fpair.A0.entries() + fpair.A1.entries(), 60)
         assert [F(p, q) for p, q, _, _ in rows] == sorted(F(p, q) for p, q, _, _ in rows)
         got = {(p, q): value.hex() for p, q, value, _ in rows}
         want = {
-            (p, q): _word_value_oracle(factors, mechanical_word(RationalParameter(p, q))).hex()
+            (p, q): word_value_oracle(fpair, 1.0, mechanical_word(RationalParameter(p, q))).hex()
             for q in range(1, 61)
             for p in range(q + 1)
             if math.gcd(p, q) == 1
         }
         assert got == want
+
+
+# sha256 of "p/q value.hex()" lines, one per row of the cap-150 table.
+PINNED_TABLES = {
+    "reference": "158934dc9e7139adf231ad8b6a387391fd685d0b8be33ba6a4b72b7080b841cd",
+    "d2": "71d6149df60400aa11ceacb4795f76efb9551f6258e57c12643114023f98feee",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_TABLES))
+def test_sturmian_table_bits_are_pinned_at_cap_150(reference_pair, symmetric_pair, case):
+    # A change that moves any bit of the table must say so here.
+    fpair = {"reference": reference_pair, "d2": symmetric_pair}[case].to_float()
+    rows = _sturmian_table(fpair.A0.entries() + fpair.A1.entries(), 150)
+    text = "\n".join(f"{p}/{q} {value.hex()}" for p, q, value, _ in rows)
+    assert len(rows) == 6859
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLES[case]
 
 
 def test_parameter_map_rejects_outside_class(c_not_d_pair):
@@ -268,6 +261,12 @@ def test_parameter_map_rejects_a_non_positive_scale(reference_pair):
     for t in (0, -1.0):
         with pytest.raises(NonPositiveScale):
             parameter_map(reference_pair, t, 10)
+
+
+def test_scan_rejects_a_non_positive_t_min(reference_pair):
+    for t_min in (0, -1.0):
+        with pytest.raises(NonPositiveScale):
+            staircase_scan(reference_pair, t_min, 1, 10, 10)
 
 
 def _c_interval(point, p, q, word):
