@@ -31,18 +31,13 @@ from .classify import (
     d2_pair,
     pair_report,
     scale_pair,
-    similarity_transform,
 )
 from .dynamics import (
     InducedSystem,
     Interval,
     SturmianIntervalSpec,
     f_eval,
-    hybrid_contraction_eval,
-    induced_inverse_eval,
-    induced_map_eval,
     induced_system,
-    itinerary,
     periodic_point,
     sturmian_interval_endpoints,
 )
@@ -61,7 +56,6 @@ from .matrices import (
     ProjectiveData,
     eigenvalues,
     projective_data,
-    q_poly_eval,
     spectral_radius,
     word_product,
 )
@@ -82,7 +76,6 @@ from .words import (
     is_balanced,
     mechanical_word,
     orbit_min_max,
-    sturmian_orbit_points,
 )
 
 __version__ = "0.1.0"

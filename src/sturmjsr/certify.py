@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .dynamics import (
@@ -55,6 +55,7 @@ from .dynamics import (
     InducedSystem,
     Interval,
     SturmianIntervalSpec,
+    class_d_system,
     f_prime_sup,
     induced_system,
     sturmian_interval_endpoints,
@@ -63,7 +64,6 @@ from .errors import (
     ClosedFormMismatch,
     DomainError,
     NoConvergence,
-    NotInClassD,
     OutOfInteriorRange,
 )
 from .matrices import Entries, MatrixPair, _product
@@ -452,20 +452,6 @@ def gamma_of_t(sys: InducedSystem, cfg: TransferSeriesConfig | None = None) -> f
     return c_star
 
 
-def fixed_point_f_value(sys: InducedSystem, i: int) -> float:
-    """Scaled induced function at the branch fixed point, by closed form.
-
-    Equals log of the spectral radius of the dominating matrix: the value of
-    the Dirac measure at the fixed point.
-    """
-    A = sys.pair.A0 if i == 0 else sys.pair.A1
-    rho = sys.proj0.rho if i == 0 else sys.proj1.rho
-    val = math.log(float(A.det() / (A.a - A.b * (1 + 1 / rho))))
-    if i == 1:
-        val += math.log(float(sys.t))
-    return val
-
-
 def certify(
     pair: MatrixPair,
     t: Number,
@@ -488,10 +474,7 @@ def certify(
     cfg = cfg or TransferSeriesConfig()
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
-    sys = induced_system(pair)
-    if not sys.report.in_D:
-        raise NotInClassD("certification needs the strict cross inequalities")
-    sys = replace(sys, t=t)  # checks t only now: a class failure is reported first
+    sys = class_d_system(pair, t)
     regime = _domination(_thresholds(sys), t)
 
     interior = regime is Domination.INTERIOR

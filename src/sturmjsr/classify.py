@@ -1,4 +1,4 @@
-"""Membership tests for the matrix classes and the equivalence transforms.
+"""Membership tests for the matrix classes, the d2 family, and the scaled pair.
 
 A positive orientation-preserving matrix is projectively concave when its
 induced interval map is strictly concave, equivalently alpha > 0, rho > 0,
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InconsistentEquivalences, NonPositiveScale, SingularTransform
+from .errors import InconsistentEquivalences, NonPositiveScale
 from .matrices import Matrix2, MatrixPair, ProjectiveData, gamma_squared, projective_data
 from .scalar import (
     ABS_TOL,
@@ -187,16 +187,3 @@ def scale_pair(pair: MatrixPair, t: Number) -> MatrixPair:
     if not t > 0:
         raise NonPositiveScale(f"t must be positive, got {t}")
     return MatrixPair(pair.A0, pair.A1.scaled(t))
-
-
-def similarity_transform(pair: MatrixPair, P: Matrix2, u: Number, v: Number) -> MatrixPair:
-    """Equivalent pair (u P^-1 A0 P, v P^-1 A1 P)."""
-    if not u > 0 or not v > 0:
-        raise NonPositiveScale(f"u and v must be positive, got u={u} v={v}")
-    if P.det() == 0:
-        raise SingularTransform("conjugating matrix is singular")
-    Pinv = P.inverse()
-    return MatrixPair(
-        Pinv.mul(pair.A0).mul(P).scaled(u),
-        Pinv.mul(pair.A1).mul(P).scaled(v),
-    )

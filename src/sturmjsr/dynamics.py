@@ -16,23 +16,25 @@ Sturmian intervals are parametrized by their common image point c in [0, 1]:
 the interval with coordinate c is [T_{A0}(c), T_{A0}(1)] u [T_{A1}(0),
 T_{A1}(c)], and its hybrid contraction applies the symbol-1 branch left of c
 and the symbol-0 branch from c on.
+
+T_A and S_A are Matrix2.moebius and moebius_inverse.  class_d_system is the
+one check of the Sturmian class D, shared by every call that needs it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .classify import PairClassReport, pair_report
-from .errors import DomainError, EmptyWord, NonPositiveScale, NotInClassC
+from .errors import DomainError, EmptyWord, NonPositiveScale, NotInClassC, NotInClassD
 from .matrices import (
     Matrix2,
     MatrixPair,
     ProjectiveData,
     fixed_point,
     projective_data,
-    require_positive,
     word_product,
 )
 from .scalar import Number
@@ -55,9 +57,6 @@ class Interval:
 
     def contains(self, x: Number) -> bool:
         return float(self.lo) - MEMBER_TOL <= float(x) <= float(self.hi) + MEMBER_TOL
-
-    def length(self) -> Number:
-        return self.hi - self.lo
 
     def grid(self, n: int) -> list[float]:
         lo, hi = float(self.lo), float(self.hi)
@@ -96,35 +95,27 @@ class SturmianIntervalSpec:
     piece1: Optional[Interval]
 
 
-def induced_map_eval(A: Matrix2, x: Number) -> Number:
-    """T_A(x) = ((a-b)x + b) / (alpha x + b + d) for x in [0, 1]."""
-    require_positive(A)
-    if not (-MEMBER_TOL <= float(x) <= 1 + MEMBER_TOL):
-        raise DomainError(f"x = {x} outside [0, 1]")
-    return A.moebius(x)
-
-
 def induced_image(A: Matrix2) -> Interval:
     """X_A = [b/(b+d), a/(a+c)]."""
     a, b, c, d = A.entries()
     return Interval(b / (b + d), a / (a + c))
 
 
-def induced_inverse_eval(A: Matrix2, x: Number) -> Number:
-    """S_A(x) = ((b+d)x - b) / (-alpha x + a - b), inverse of T_A on X_A."""
-    require_positive(A)
-    if not induced_image(A).contains(x):
-        raise DomainError(f"x = {x} outside the induced image {induced_image(A)}")
-    return A.moebius_inverse(x)
-
-
 def induced_system(pair: MatrixPair, t: Number = 1) -> InducedSystem:
     """Build the two-branch system; identical for every positive t.
 
-    The one class check of a public call, made before the scale check; class
-    D callers read sys.report.
+    The one class check of a public call, made before the scale check;
+    callers that need class D build the system with class_d_system.
     """
     return _system_of_report(pair, pair_report(pair), t)
+
+
+def class_d_system(pair: MatrixPair, t: Number) -> InducedSystem:
+    """induced_system, but a pair outside class D raises NotInClassD before t is checked."""
+    sys = induced_system(pair)
+    if not sys.report.in_D:
+        raise NotInClassD("the pair fails the strict cross inequalities of the Sturmian class")
+    return replace(sys, t=t)
 
 
 def _system_of_report(pair: MatrixPair, report: PairClassReport, t: Number) -> InducedSystem:
@@ -189,26 +180,6 @@ def apply_T(sys: InducedSystem, x: Number) -> Number:
     return A.moebius_inverse(x)
 
 
-def itinerary(sys: InducedSystem, x: Number, n: int) -> tuple[str, Optional[int]]:
-    """Symbol sequence of the orbit of x, stopping at the first escape.
-
-    Returns (word, escaped_at); escaped_at is the step index at which the
-    orbit entered the gap or left [0, 1], or None if all n symbols exist.
-    """
-    if not (-MEMBER_TOL <= float(x) <= 1 + MEMBER_TOL):
-        raise DomainError(f"x = {x} outside [0, 1]")
-    symbols: list[str] = []
-    for j in range(n):
-        i = branch_of(sys, x)
-        if i is None:
-            return "".join(symbols), j
-        symbols.append(str(i))
-        x = apply_T(sys, x)
-        if not (-MEMBER_TOL <= float(x) <= 1 + MEMBER_TOL):
-            return "".join(symbols), j + 1
-    return "".join(symbols), None
-
-
 def contraction_eval(sys: InducedSystem, i: int, x: Number) -> Number:
     """The contracting branch T_{A_i} evaluated at x in [0, 1]."""
     A = sys.pair.A0 if i == 0 else sys.pair.A1
@@ -257,17 +228,6 @@ def periodic_orbit(sys: InducedSystem, word: str) -> list[float]:
         x = float(contraction_eval(sys, int(ch), x))
         back.append(x)
     return back[:1] + back[:0:-1]
-
-
-def hybrid_contraction_eval(sys: InducedSystem, c: Number, x: Number) -> Number:
-    """Hybrid contraction of the Sturmian interval with coordinate c.
-
-    Applies the symbol-1 branch on [0, c) and the symbol-0 branch on [c, 1];
-    its image is exactly the Sturmian interval.
-    """
-    if not (0 <= float(c) <= 1) or not (0 <= float(x) <= 1):
-        raise DomainError("c and x must lie in [0, 1]")
-    return contraction_eval(sys, 1 if x < c else 0, x)
 
 
 def sturmian_interval_endpoints(sys: InducedSystem, c: Number) -> SturmianIntervalSpec:

@@ -17,10 +17,6 @@ class EmptyWord(SturmJsrError):
     """A binary word that must be non-empty is empty."""
 
 
-class SingularTransform(SturmJsrError):
-    """The conjugating matrix of a similarity transform is singular."""
-
-
 class InconsistentEquivalences(SturmJsrError):
     """The four equivalent convexity criteria disagree; signals a tolerance problem."""
 

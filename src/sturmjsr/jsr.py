@@ -26,14 +26,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .classify import pair_report
-from .dynamics import InducedSystem, f_eval, periodic_orbit
+from .dynamics import InducedSystem, class_d_system, f_eval, periodic_orbit
 from .errors import (
     DomainError,
     EmptyWord,
     NonPositiveMatrix,
     NonPositiveScale,
     NotInClassC,
-    NotInClassD,
 )
 from .matrices import MatrixPair, _walk, word_value, word_values
 from .scalar import Number
@@ -216,13 +215,10 @@ def sturmian_restricted_max(
     order and are replayed by (q, p).  The restricted maximum converges to
     log r of the scaled pair as the denominator cap grows.
     """
-    if not pair_report(pair).in_D:
-        raise NotInClassD("restricted Sturmian search needs the strict cross inequalities")
+    tf = float(t)
+    class_d_system(pair, tf)  # checks the float scale, so a t that rounds to 0 fails
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
-    tf = float(t)
-    if not tf > 0:
-        raise NonPositiveScale(f"t must be positive, got {tf}")
     params, words = itertools.tee(stern_brocot_words(max_den))
     values = word_values(pair.to_float(), tf, (word for _, _, word in words))
     best: tuple[RationalParameter, float] | None = None

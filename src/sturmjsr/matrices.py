@@ -232,15 +232,6 @@ def eigenvalues(A: Matrix2) -> tuple[Number, Number]:
     return ((tr + root) / 2, (tr - root) / 2)
 
 
-def q_poly_eval(A: Matrix2, z: Number) -> Number:
-    """Branch quadratic alpha z^2 + beta z - b; rho is its larger root."""
-    require_positive(A)
-    a, b, c, d = A.entries()
-    alpha = a + c - b - d
-    beta = a - d - 2 * b
-    return alpha * z * z + beta * z - b
-
-
 def _normalised(prod: Entries, log_scale: float) -> tuple[Entries, float]:
     """One float normalization step: prod / m and log_scale + log m, m = max |entry|.
 

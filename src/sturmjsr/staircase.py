@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import Domination, ThresholdPair, _domination, _thresholds
-from .dynamics import InducedSystem, induced_system, periodic_point_budget
-from .errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
+from .dynamics import InducedSystem, class_d_system, periodic_point_budget
+from .errors import DomainError, NonPositiveScale, PlateauNotFound
 from .matrices import (
     Matrix2,
     MatrixPair,
@@ -147,9 +147,7 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
 
 def _validated(pair: MatrixPair, max_den: int, t: Number = 1) -> tuple[ThresholdPair, _Envelope]:
     """Class, scale and cap checks, then the thresholds and the envelope of the pair."""
-    sys = induced_system(pair, t)
-    if not sys.report.in_D:
-        raise NotInClassD("the parameter map needs the strict cross inequalities")
+    sys = class_d_system(pair, t)
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
     entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
@@ -191,10 +189,16 @@ def staircase_scan(
         raise DomainError("need t_min < t_max")
     if samples < 2:
         raise DomainError("need at least 2 samples")
-    th, env = _validated(pair, max_den)
     lo, hi = float(t_min), float(t_max)
     ratio = (hi / lo) ** (1.0 / (samples - 1))
-    return [_sample(pair, th, env, lo * ratio**k) for k in range(samples)]
+    try:
+        ts = [lo * ratio**k for k in range(samples)]
+    except OverflowError:  # a float power beyond the range raises; a product rounds to inf
+        ts = [math.inf]
+    if not math.isfinite(ts[-1]):
+        raise DomainError(f"the scan from t_min = {t_min} to t_max = {t_max} overflows a float")
+    th, env = _validated(pair, max_den)
+    return [_sample(pair, th, env, t) for t in ts]
 
 
 def parameter_bracket_of_coordinate(sys: InducedSystem, c: Number) -> ParameterBracket:

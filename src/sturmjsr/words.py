@@ -3,7 +3,8 @@
 The mechanical word of a reduced rational p/q is the length-q word with
 k-th letter floor((k+1)p/q) - floor(kp/q); it has exactly p ones, and its
 cyclic rotations generate the periodic orbit whose invariant measure has
-parameter p/q.
+parameter p/q.  The module is word combinatorics only: it knows no matrix
+pair, and the orbits themselves are dynamics.periodic_orbit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import DomainError, EmptyWord
-from .dynamics import InducedSystem, periodic_orbit
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,3 @@ def farey_neighbors(x: Fraction, max_den: int) -> tuple[Fraction, Fraction]:
             hi = mediant
         else:
             return mediant, mediant
-
-
-def sturmian_orbit_points(sys: InducedSystem, param: RationalParameter) -> list[float]:
-    """The q points of the periodic orbit with itinerary mechanical_word(param), sorted."""
-    return sorted(periodic_orbit(sys, mechanical_word(param)))

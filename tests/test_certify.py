@@ -17,6 +17,7 @@ from sturmjsr import (
     induced_system,
     phi_extremal,
     phi_series,
+    projective_data,
     scale_pair,
     sturmian_restricted_max,
     thresholds,
@@ -28,7 +29,6 @@ from sturmjsr.certify import (
     _phi_batch,
     delta_extremal_ratio,
     endpoint_ratio_log,
-    fixed_point_f_value,
 )
 from sturmjsr.dynamics import apply_T, f_eval, sturmian_interval_endpoints
 from sturmjsr.errors import (
@@ -286,9 +286,15 @@ def test_brent_matches_scipy_brentq_bit_for_bit(reference_pair, symmetric_pair):
             assert gamma_of_t(sys) == expected
 
 
-def test_fixed_point_value_closed_form(reference_system):
-    assert abs(fixed_point_f_value(reference_system, 0) - f_eval(reference_system, F(1, 15))) <= 1e-12
-    assert abs(fixed_point_f_value(reference_system, 1) - f_eval(reference_system, F(16, 17))) <= 1e-12
+def test_fixed_point_value_closed_form(reference_pair, symmetric_pair):
+    # f at the fixed point of branch i is log lambda_i, plus log t on X1:
+    # the value of the Dirac measure there.
+    for pair, t in ((reference_pair, 1), (symmetric_pair, F(3, 2))):
+        sys = induced_system(pair, t)
+        for i, A in enumerate((pair.A0, pair.A1)):
+            d = projective_data(A)
+            want = math.log(d.perron_value) + i * math.log(t)
+            assert abs(f_eval(sys, d.fixed_point) - want) <= 1e-12
 
 
 def test_certify_low_scale_dominated(reference_pair, symmetric_pair):
@@ -300,8 +306,8 @@ def test_certify_low_scale_dominated(reference_pair, symmetric_pair):
         assert rep.verdict is Verdict.CERTIFIED
         assert rep.c == 0.0
         assert rep.interval.piece1 is None
-        sys = induced_system(pair, t)
-        assert abs(rep.constant_value - fixed_point_f_value(sys, 0)) <= 1e-10
+        # The value of the Dirac measure at the fixed point of A0.
+        assert abs(rep.constant_value - math.log(projective_data(pair.A0).perron_value)) <= 1e-10
         if pair is reference_pair:  # both Perron values are 1
             assert abs(rep.constant_value) <= 1e-10
 

@@ -24,15 +24,14 @@ from sturmjsr import (
     parameter_map,
     plateau_bounds,
     projective_data,
-    q_poly_eval,
     scale_pair,
-    similarity_transform,
     spectral_radius,
     staircase_scan,
+    sturmian_restricted_max,
     thresholds,
 )
 from sturmjsr.cli import main
-from sturmjsr.errors import NonPositiveScale, SingularTransform
+from sturmjsr.errors import NonPositiveScale
 
 from conftest import random_positive_matrix, random_rational
 
@@ -153,27 +152,13 @@ def test_class_D_invariant_under_scaling(reference_pair, symmetric_pair):
             assert pair_report(scale_pair(pair, t)).in_D == base
 
 
-def test_similarity_transform_identity_and_diagonal(reference_pair):
-    ident = Matrix2(F(1), F(0), F(0), F(1))
-    assert similarity_transform(reference_pair, ident, F(1), F(1)) == reference_pair
-    diag = Matrix2(F(2), F(0), F(0), F(1))
-    out = similarity_transform(reference_pair, diag, F(1), F(1))
-    a0 = reference_pair.A0
-    assert out.A0 == Matrix2(a0.a, a0.b / 2, 2 * a0.c, a0.d)
-    with pytest.raises(SingularTransform):
-        similarity_transform(reference_pair, Matrix2(1, 1, 1, 1), 1, 1)
-
-
 def test_similarity_preserves_spectral_radius():
     rng = random.Random(25)
     for _ in range(100):
         m = random_positive_matrix(rng)
         p = Matrix2(rng.uniform(0.2, 5.0), 0.0, 0.0, rng.uniform(0.2, 5.0))
-        pair = MatrixPair(m, m)
-        out = similarity_transform(pair, p, 1.0, 1.0)
-        assert math.isclose(
-            float(spectral_radius(out.A0)), float(spectral_radius(m)), rel_tol=1e-9
-        )
+        conj = p.inverse().mul(m).mul(p)
+        assert math.isclose(float(spectral_radius(conj)), float(spectral_radius(m)), rel_tol=1e-9)
 
 
 def _random_class_c_pairs(rng, count):
@@ -189,10 +174,11 @@ def _random_class_c_pairs(rng, count):
 def test_class_C_quadratic_sign_facts(reference_pair):
     rng = random.Random(26)
     for pair in [reference_pair] + _random_class_c_pairs(rng, 30):
-        rho0 = projective_data(pair.A0).rho
-        rho1 = projective_data(pair.A1).rho
-        assert q_poly_eval(pair.A1, rho0) < 0
-        assert q_poly_eval(pair.A0, rho1) > 0
+        d0, d1 = projective_data(pair.A0), projective_data(pair.A1)
+        # Signs of the branch quadratic alpha z^2 + beta z - b of one member
+        # at the other member's rho.
+        assert d1.alpha * d0.rho * d0.rho + d1.beta * d0.rho - pair.A1.b < 0
+        assert d0.alpha * d1.rho * d1.rho + d0.beta * d1.rho - pair.A0.b > 0
 
 
 def test_class_C_linear_factor_signs(reference_pair):
@@ -237,6 +223,7 @@ def _classify_cli(pair):
         lambda pair: certify(pair, 1),
         lambda pair: certify(pair, F(1, 8)),
         lambda pair: certify(pair, 8),
+        lambda pair: sturmian_restricted_max(pair, 1, 20),
         _classify_cli,
     ],
     ids=[
@@ -249,6 +236,7 @@ def _classify_cli(pair):
         "certify-interior",
         "certify-A0",
         "certify-A1",
+        "sturmian_restricted_max",
         "cli-classify",
     ],
 )

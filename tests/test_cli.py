@@ -194,6 +194,9 @@ def test_counterexample_command(pair_file, capsys):
         ["jsr", "--t", "1e400", "--max-len", "3"],
         ["staircase", "--t-min", "1", "--t-max", "inf", "--samples", "12", "--max-den", "12"],
         ["staircase", "--t-min", "0", "--t-max", "16", "--samples", "12", "--max-den", "12"],
+        ["staircase", "--t-min", "1e-200", "--t-max", "1e200", "--samples", "3", "--max-den", "10"],
+        ["staircase", "--t-min", "0.2", "--t-max", "16", "--samples", "3", "--max-den", "10",
+         "--out", "/"],
         ["certify", "--t", "1", "--tail-tol", "inf"],
         ["certify", "--t", "3", "--tail-tol", "1e400"],
     ],
@@ -210,6 +213,8 @@ def test_counterexample_command(pair_file, capsys):
         "jsr-t-overflow",
         "staircase-t-max-inf",
         "staircase-t-min-zero",
+        "staircase-ratio-overflow",
+        "staircase-out-unwritable",
         "certify-tail-tol-inf",
         "certify-tail-tol-overflow",
     ],

@@ -10,11 +10,7 @@ from sturmjsr import (
     MatrixPair,
     RationalParameter,
     f_eval,
-    hybrid_contraction_eval,
-    induced_inverse_eval,
-    induced_map_eval,
     induced_system,
-    itinerary,
     mechanical_word,
     pair_report,
     periodic_point,
@@ -23,6 +19,7 @@ from sturmjsr import (
     word_product,
 )
 from sturmjsr.dynamics import (
+    MEMBER_TOL,
     apply_T,
     branch_of,
     contraction_eval,
@@ -35,28 +32,21 @@ from conftest import mp_periodic_point
 
 
 def test_induced_map_values(reference_pair, symmetric_pair):
-    assert induced_map_eval(reference_pair.A0, F(1, 15)) == F(1, 15)
-    assert induced_map_eval(Matrix2(2, 1, 1, 1), 0) == F(1, 2)
-    assert induced_map_eval(symmetric_pair.A0, 1) == F(2, 5)
-
-
-def test_induced_map_rejects_outside_domain(reference_pair):
-    with pytest.raises(DomainError):
-        induced_map_eval(reference_pair.A0, F(3, 2))
+    assert reference_pair.A0.moebius(F(1, 15)) == F(1, 15)
+    assert Matrix2(2, 1, 1, 1).moebius(0) == F(1, 2)
+    assert symmetric_pair.A0.moebius(1) == F(2, 5)
 
 
 def test_induced_inverse_roundtrip(reference_pair):
     A = reference_pair.A0
     for k in range(101):
         x = F(k, 100)
-        assert induced_inverse_eval(A, induced_map_eval(A, x)) == x
+        assert A.moebius_inverse(A.moebius(x)) == x
 
 
 def test_induced_inverse_endpoints(reference_pair):
-    assert induced_inverse_eval(reference_pair.A0, F(5, 12)) == 1
-    assert induced_inverse_eval(reference_pair.A0, F(1, 36)) == 0
-    with pytest.raises(DomainError):
-        induced_inverse_eval(reference_pair.A0, F(1, 2))
+    assert reference_pair.A0.moebius_inverse(F(5, 12)) == 1
+    assert reference_pair.A0.moebius_inverse(F(1, 36)) == 0
 
 
 def test_induced_system_reference_intervals(reference_system):
@@ -115,16 +105,18 @@ def test_f_rejects_gap_points(reference_system):
 
 
 def test_itinerary_of_fixed_points(reference_system):
-    word, escaped = itinerary(reference_system, F(1, 15), 8)
-    assert (word, escaped) == ("00000000", None)
-    word, escaped = itinerary(reference_system, F(16, 17), 8)
-    assert (word, escaped) == ("11111111", None)
+    # The branch fixed points are fixed by the map on the exact path, so
+    # their itineraries are constant.
+    for x, letter in ((F(1, 15), 0), (F(16, 17), 1)):
+        assert branch_of(reference_system, x) == letter
+        assert apply_T(reference_system, x) == x
 
 
 def test_itinerary_escapes_in_gap(reference_system):
     gap_mid = (reference_system.X0.hi + reference_system.X1.lo) / 2
-    word, escaped = itinerary(reference_system, gap_mid, 8)
-    assert (word, escaped) == ("", 0)
+    assert branch_of(reference_system, gap_mid) is None
+    with pytest.raises(DomainError):
+        apply_T(reference_system, gap_mid)
 
 
 def test_periodic_point_fixed_letters(reference_system):
@@ -209,11 +201,12 @@ def test_itinerary_of_periodic_points(reference_pair, symmetric_pair):
             n = rng.randint(1, 8)
             word = "".join(rng.choice("01") for _ in range(n))
             x = periodic_point(sys, word)
-            # Expansion amplifies the 1e-14 iteration tolerance, so two
-            # periods is the honest horizon for exact symbol recovery.
-            got, escaped = itinerary(sys, x, 2 * n)
-            assert escaped is None
-            assert got == word * 2
+            # Expansion amplifies the point's rounding error, so two periods
+            # is the honest horizon for exact symbol recovery.
+            for letter in word * 2:
+                assert branch_of(sys, x) == int(letter)
+                x = apply_T(sys, x)
+            assert -MEMBER_TOL <= x <= 1 + MEMBER_TOL
 
 
 def test_expanding_map_inverts_contractions(reference_system):
@@ -279,23 +272,14 @@ def test_telescoped_derivative_sum(reference_system, symmetric_system):
                 assert abs(total - 1.0 / (x + float(rho))) <= 1e-6
 
 
-def test_hybrid_contraction_branches(reference_system):
-    sys = reference_system
-    for k in range(11):
-        x = k / 10
-        assert hybrid_contraction_eval(sys, 0, x) == contraction_eval(sys, 0, x)
-        if x < 1:
-            assert hybrid_contraction_eval(sys, 1, x) == contraction_eval(sys, 1, x)
-    assert hybrid_contraction_eval(sys, 1, 1) == contraction_eval(sys, 0, 1)
-
-
 def test_hybrid_image_matches_interval_pieces(reference_system):
+    # The hybrid contraction applies branch 1 on [0, c) and branch 0 on [c, 1].
     sys = reference_system
     c = 0.37
     spec = sturmian_interval_endpoints(sys, c)
-    assert abs(hybrid_contraction_eval(sys, c, c) - spec.piece0.lo) <= 1e-14
-    assert abs(hybrid_contraction_eval(sys, c, 1.0) - spec.piece0.hi) <= 1e-14
-    assert abs(hybrid_contraction_eval(sys, c, 0.0) - spec.piece1.lo) <= 1e-14
+    assert abs(contraction_eval(sys, 0, c) - spec.piece0.lo) <= 1e-14
+    assert abs(contraction_eval(sys, 0, 1.0) - spec.piece0.hi) <= 1e-14
+    assert abs(contraction_eval(sys, 1, 0.0) - spec.piece1.lo) <= 1e-14
     lim = contraction_eval(sys, 1, c)
     assert abs(float(lim) - spec.piece1.hi) <= 1e-14
 

@@ -14,6 +14,7 @@ from sturmjsr import (
     jsr_lower_bruteforce,
     jsr_upper_norm,
     mechanical_word,
+    projective_data,
     sturmian_restricted_max,
     sturmian_value,
     thresholds,
@@ -266,11 +267,12 @@ def test_ergodic_average_unbalanced_word(reference_pair):
 
 
 def test_ergodic_average_single_letters(reference_pair):
-    from sturmjsr.certify import fixed_point_f_value
-
+    # The Dirac values log lambda_0 and log lambda_1 + log t.
     sys = induced_system(reference_pair, 1)
-    assert abs(ergodic_average_f(sys, "0") - fixed_point_f_value(sys, 0)) <= 1e-12
-    assert abs(ergodic_average_f(sys, "1") - fixed_point_f_value(sys, 1)) <= 1e-12
+    want0 = math.log(projective_data(reference_pair.A0).perron_value)
+    want1 = math.log(projective_data(reference_pair.A1).perron_value) + math.log(sys.t)
+    assert abs(ergodic_average_f(sys, "0") - want0) <= 1e-12
+    assert abs(ergodic_average_f(sys, "1") - want1) <= 1e-12
 
 
 def test_restricted_max_regimes(reference_pair):
@@ -321,9 +323,11 @@ def test_restricted_max_matches_the_double_loop(reference_pair, symmetric_pair):
 def test_restricted_max_rejects_outside_class(c_not_d_pair):
     from sturmjsr import d2_pair
 
+    # The class is reported before the scale.
     for pair in (d2_pair(F(1, 2), F(3)), c_not_d_pair):
-        with pytest.raises(NotInClassD):
-            sturmian_restricted_max(pair, 1, 10)
+        for t in (1, -1):
+            with pytest.raises(NotInClassD):
+                sturmian_restricted_max(pair, t, 10)
 
 
 @pytest.mark.parametrize("max_den", [0, -2])

@@ -9,7 +9,6 @@ from sturmjsr import (
     Matrix2,
     eigenvalues,
     projective_data,
-    q_poly_eval,
     spectral_radius,
     word_product,
 )
@@ -38,10 +37,8 @@ def test_projective_data_exact_values(reference_pair):
 
 
 def test_projective_data_fixed_point_is_fixed(reference_pair):
-    from sturmjsr import induced_map_eval
-
     d0 = projective_data(reference_pair.A0)
-    assert induced_map_eval(reference_pair.A0, d0.fixed_point) == d0.fixed_point
+    assert reference_pair.A0.moebius(d0.fixed_point) == d0.fixed_point
 
 
 def test_fixed_point_is_correctly_rounded_on_float_paths(reference_pair, symmetric_pair):
@@ -114,11 +111,12 @@ def test_eigenvalues_exact(reference_pair):
 
 
 def test_q_poly_values(reference_pair):
-    assert q_poly_eval(reference_pair.A0, F(3, 4)) == 0
-    assert q_poly_eval(reference_pair.A0, 0) == F(-3, 112)
-    # Value frozen from exact evaluation: alpha1 z^2 + beta1 z - b1 at z = 3/4.
-    assert q_poly_eval(reference_pair.A1, F(3, 4)) == F(-6095, 2048)
-    assert q_poly_eval(reference_pair.A1, F(3, 4)) < 0
+    # The branch quadratic alpha z^2 + beta z - b, whose larger root is rho.
+    # The A1 value was frozen from exact evaluation.
+    A0, A1 = reference_pair.A0, reference_pair.A1
+    for A, z, want in ((A0, F(3, 4), 0), (A0, F(0), F(-3, 112)), (A1, F(3, 4), F(-6095, 2048))):
+        d = projective_data(A)
+        assert d.alpha * z * z + d.beta * z - A.b == want
 
 
 def test_q_poly_root_at_rho_random():
@@ -129,7 +127,7 @@ def test_q_poly_root_at_rho_random():
         # Near-affine matrices send rho to infinity, so the residual is
         # measured against the size of the quadratic's terms.
         scale = max(1.0, abs(d.alpha) * d.rho * d.rho, abs(d.beta * d.rho))
-        assert abs(q_poly_eval(m, d.rho)) <= 1e-10 * scale
+        assert abs(d.alpha * d.rho * d.rho + d.beta * d.rho - m.b) <= 1e-10 * scale
 
 
 def test_identity_gamma_beta_alpha_random():

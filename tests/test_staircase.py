@@ -113,9 +113,11 @@ def test_sturmian_table_bits_are_pinned_at_cap_150(reference_pair, symmetric_pai
 def test_parameter_map_rejects_outside_class(c_not_d_pair):
     from sturmjsr import d2_pair
 
+    # The class is reported before the scale.
     for pair in (d2_pair(F(1, 2), F(3)), c_not_d_pair):
-        with pytest.raises(NotInClassD):
-            parameter_map(pair, 1, 10)
+        for t in (1, -1):
+            with pytest.raises(NotInClassD):
+                parameter_map(pair, t, 10)
 
 
 def test_scan_monotone_with_extreme_endpoints(reference_pair):

@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,9 @@ from sturmjsr import (
     mechanical_word,
     orbit_min_max,
     periodic_point,
-    sturmian_orbit_points,
 )
-from sturmjsr.dynamics import branch_of, periodic_point_budget
+from sturmjsr import words
+from sturmjsr.dynamics import branch_of, periodic_orbit, periodic_point_budget
 from sturmjsr.errors import DomainError
 from sturmjsr.words import farey_neighbors, stern_brocot_words
 
@@ -119,14 +121,14 @@ def test_farey_neighbors_against_bruteforce():
 
 
 def test_orbit_points_fixed_parameters(reference_system):
-    pts = sturmian_orbit_points(reference_system, RP(0, 1))
+    pts = sorted(periodic_orbit(reference_system, mechanical_word(RP(0, 1))))
     assert len(pts) == 1 and abs(pts[0] - 1 / 15) <= 1e-12
-    pts = sturmian_orbit_points(reference_system, RP(1, 1))
+    pts = sorted(periodic_orbit(reference_system, mechanical_word(RP(1, 1))))
     assert len(pts) == 1 and abs(pts[0] - 16 / 17) <= 1e-12
 
 
 def test_orbit_points_split_between_branches(symmetric_system):
-    pts = sturmian_orbit_points(symmetric_system, RP(1, 2))
+    pts = sorted(periodic_orbit(symmetric_system, mechanical_word(RP(1, 2))))
     assert len(pts) == 2
     assert branch_of(symmetric_system, pts[0]) == 0
     assert branch_of(symmetric_system, pts[1]) == 1
@@ -139,7 +141,7 @@ def test_orbit_points_branch_counts(reference_system):
         p = rng.randint(0, q)
         if math.gcd(p, q) != 1:
             continue
-        pts = sturmian_orbit_points(reference_system, RP(p, q))
+        pts = sorted(periodic_orbit(reference_system, mechanical_word(RP(p, q))))
         ones = sum(1 for x in pts if branch_of(reference_system, x) == 1)
         assert len(pts) == q and ones == p
 
@@ -149,9 +151,17 @@ def test_orbit_points_are_the_periodic_points_of_the_rotations(reference_pair, s
     for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
         sys = induced_system(pair, 1)
         for p, q in ((0, 1), (1, 1), (1, 2), (2, 5), (5, 13), (8, 21), (21, 55), (34, 89)):
-            pts = sturmian_orbit_points(sys, RP(p, q))
+            pts = sorted(periodic_orbit(sys, mechanical_word(RP(p, q))))
             want = sorted(periodic_point(sys, r) for r in rotations(mechanical_word(RP(p, q))))
             assert len(pts) == q
             # Each side is within budget of the true orbit.
             worst = max(abs(a - b) for a, b in zip(pts, want))
             assert worst <= 2 * periodic_point_budget(q), (p, q)
+
+
+def test_words_is_a_leaf_module():
+    tree = ast.parse(Path(words.__file__).read_text(encoding="utf-8"))
+    local = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert local == {"errors"}
