@@ -12,7 +12,6 @@ from .certify import (
     CertificateReport,
     Domination,
     ThresholdPair,
-    TransferSeriesConfig,
     Verdict,
     certify,
     delta_extremal,

@@ -16,8 +16,9 @@ modulus 1), and its two image endpoints, computed once when the piece is
 made; the point loop reads it flattened with the f constants of the branch
 its image lies in.  The pieces do not depend on the evaluation points, so
 one sweep serves any number of them, and f at a piece's lower image end is
-evaluated once per term for all the points in it.  Truncation uses the
-rigorous bound (total image length) * sup|f'|.
+evaluated once per term for all the points in it.  The sum stops once the
+rigorous tail bound (total image length) * sup|f'| is below tail_tol, 1e-12
+unless the caller gives another.
 
 The grid runs in floats with the bits of apply_T and f_eval on any pair,
 exact or float.  Mixed Fraction/float arithmetic rounds a subexpression
@@ -72,22 +73,14 @@ from .scalar import Number, is_exact
 FLAT_TOL = 1e-6
 MARGIN_TOL = 1e-8
 BRENT_MAX_ITER = 100
+# Default tail tolerance of the transfer series, and its cap on the terms.
+TAIL_TOL = 1e-12
+SERIES_MAX_DEPTH = 400
 
 
-@dataclass(frozen=True)
-class TransferSeriesConfig:
-    """Truncation policy for the transfer-function series."""
-
-    tail_tolerance: float = 1e-12
-    max_depth: int = 400
-
-    def __post_init__(self):
-        if not 0 < self.tail_tolerance < math.inf:
-            raise DomainError(
-                f"tail_tolerance must be positive and finite, got {self.tail_tolerance}"
-            )
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
+def _check_tail_tol(tail_tol: float) -> None:
+    if not 0 < tail_tol < math.inf:
+        raise DomainError(f"tail_tol must be positive and finite, got {tail_tol}")
 
 
 class Verdict(enum.Enum):
@@ -194,7 +187,7 @@ def _phi_batch(
     sys: InducedSystem,
     c: Number,
     zs: Sequence[float],
-    cfg: TransferSeriesConfig,
+    tail_tol: float = TAIL_TOL,
     branches: list[tuple] | None = None,
 ) -> list[float]:
     """Transfer-function values at every z in zs, in one piece sweep.
@@ -205,8 +198,11 @@ def _phi_batch(
     the pieces of tau^n([0, z]); f is taken up to a per-branch additive
     constant, which cancels in the differences.  The point loop reads each
     piece flattened to (dom_hi, p, q, r, s, alpha, sigma) of its branch.
-    branches is _branch_floats(sys), built here when not given.
+    branches is _branch_floats(sys), built here when not given.  The sum
+    stops once the tail bound is below tail_tol, and SERIES_MAX_DEPTH terms
+    without that raise NoConvergence.
     """
+    _check_tail_tol(tail_tol)
     cf = float(c)
     if not 0.0 <= cf <= 1.0:
         raise DomainError(f"c = {c} outside [0, 1]")
@@ -218,12 +214,11 @@ def _phi_batch(
     log = math.log
 
     sup_fp = f_prime_sup(sys)
-    tol = cfg.tail_tolerance
 
     pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 1.0)]
     phi = [0.0] * len(zs)
 
-    for _ in range(cfg.max_depth):
+    for _ in range(SERIES_MAX_DEPTH):
         new_pieces = []
         flat = []
         dlos = []
@@ -277,19 +272,16 @@ def _phi_batch(
             y = (p * y + q) / (r * y + s)
             phi[k] += prefix[idx] - log(abs(alpha * (y + sigma))) - f_los[idx]
 
-        if total_len * sup_fp < tol:
+        if total_len * sup_fp < tail_tol:
             return phi
     raise NoConvergence(
-        f"transfer series not below tail tolerance after {cfg.max_depth} terms"
+        f"transfer series not below tail tolerance after {SERIES_MAX_DEPTH} terms"
     )
 
 
-def phi_series(
-    sys: InducedSystem, c: Number, z: Number, cfg: TransferSeriesConfig | None = None
-) -> float:
-    """Transfer-function value phi_c(z), summed term by term."""
-    cfg = cfg or TransferSeriesConfig()
-    return _phi_batch(sys, c, [float(z)], cfg)[0]
+def phi_series(sys: InducedSystem, c: Number, z: Number, tail_tol: float = TAIL_TOL) -> float:
+    """Transfer-function value phi_c(z), summed term by term to the tail bound tail_tol."""
+    return _phi_batch(sys, c, [float(z)], tail_tol)[0]
 
 
 def delta_extremal_ratio(sys: InducedSystem, i: int) -> Number:
@@ -305,13 +297,10 @@ def delta_extremal(sys: InducedSystem, i: int) -> float:
     return math.log(float(delta_extremal_ratio(sys, i)))
 
 
-def delta_numeric(
-    sys: InducedSystem, c: Number, cfg: TransferSeriesConfig | None = None
-) -> float:
-    """Matching functional Delta(c) = phi(1) - (phi(X0.hi) - phi(X1.lo))."""
-    cfg = cfg or TransferSeriesConfig()
+def delta_numeric(sys: InducedSystem, c: Number, tail_tol: float = TAIL_TOL) -> float:
+    """Matching functional Delta(c) = phi(1) - (phi(X0.hi) - phi(X1.lo)), phi summed to tail_tol."""
     z_end, z0, z1 = 1.0, float(sys.X0.hi), float(sys.X1.lo)
-    v_end, v0, v1 = _phi_batch(sys, c, [z_end, z0, z1], cfg)
+    v_end, v0, v1 = _phi_batch(sys, c, [z_end, z0, z1], tail_tol)
     return v_end - (v0 - v1)
 
 
@@ -425,23 +414,22 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float
     raise NoConvergence(f"Brent iteration not converged after {BRENT_MAX_ITER} steps")
 
 
-def gamma_of_t(sys: InducedSystem, cfg: TransferSeriesConfig | None = None) -> float:
+def gamma_of_t(sys: InducedSystem, tail_tol: float = TAIL_TOL) -> float:
     """Image coordinate c* of the Sturmian interval matched to the scale of sys.
 
     Solves Delta(c*) = log((a0+c0)/((b1+d1) t)) by Brent's method on [0, 1];
     the bracket is guaranteed because Delta runs from a positive value at
     c = 0 to a negative one at c = 1 while the target lies strictly between
-    for interior t.  The residual checked against 1e-9 is the solver's last
-    value, the one it converged on.
+    for interior t.  Each Delta sums the series to tail_tol.  The residual
+    checked against 1e-9 is the solver's last value, the one it converged on.
     """
-    cfg = cfg or TransferSeriesConfig()
     th = _thresholds(sys)
     if not (float(th.t0) < float(sys.t) < float(th.t1)):
         raise OutOfInteriorRange(f"t = {sys.t} outside ({th.t0}, {th.t1})")
     target = endpoint_ratio_log(sys.pair, sys.t)
 
     def h(cc: float) -> float:
-        return delta_numeric(sys, cc, cfg) - target
+        return delta_numeric(sys, cc, tail_tol) - target
 
     h0, h1 = h(0.0), h(1.0)
     if not (h0 > 0.0 > h1):
@@ -456,7 +444,7 @@ def certify(
     pair: MatrixPair,
     t: Number,
     grid_size: int = 256,
-    cfg: TransferSeriesConfig | None = None,
+    tail_tol: float = TAIL_TOL,
 ) -> CertificateReport:
     """Grid certificate that the matched Sturmian measure is the unique maximizer.
 
@@ -470,8 +458,9 @@ def certify(
     branch image, monotone toward it on the other branch, and its boundary
     value there must not exceed the constant (equality is allowed at the
     threshold itself, so the margin test is one-sided with tolerance).
+    The interior series is summed to tail_tol, which is checked first.
     """
-    cfg = cfg or TransferSeriesConfig()
+    _check_tail_tol(tail_tol)
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
     sys = class_d_system(pair, t)
@@ -480,8 +469,8 @@ def certify(
     interior = regime is Domination.INTERIOR
     branches = _branch_floats(sys)
     if interior:
-        c_star = gamma_of_t(sys, cfg)
-        phi = lambda zs: _phi_batch(sys, c_star, zs, cfg, branches)  # noqa: E731
+        c_star = gamma_of_t(sys, tail_tol)
+        phi = lambda zs: _phi_batch(sys, c_star, zs, tail_tol, branches)  # noqa: E731
     else:
         c_star = 0.0 if regime is Domination.A0_DOMINATES else 1.0
         # phi_extremal's bits: a float z meets a Fraction rho as float(rho).

@@ -9,15 +9,15 @@ A1.  The Sturmian class additionally demands the strict cross inequalities
 rho(A1) < sigma(A0) and sigma(A1) < rho(A0).
 
 Decisions run on the exact rational path whenever the entries are rational:
-comparisons against rho reduce to the sign of v*sqrt(g) - w with rational
-v, g, w, which is decided without floating point.  Float inputs decide with
+comparisons against rho reduce to the sign of u + sqrt(g) - w with rational
+u, g, w, which is decided without floating point.  Float inputs decide with
 a strict margin beyond the default absolute tolerance.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -57,6 +57,11 @@ class PairClassReport:
     inequality_margins: tuple[
         Optional[Number], Optional[Number], Optional[Number], Optional[Number]
     ]
+    # The projective data of A0 and A1 for a class-C pair, kept for the
+    # induced system; left out of repr, equality and the CLI output.
+    witnesses: Optional[tuple[ProjectiveData, ProjectiveData]] = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def cmp_rho(A: Matrix2, s: Number) -> int:
@@ -69,7 +74,7 @@ def cmp_rho(A: Matrix2, s: Number) -> int:
     alpha = a + c - b - d
     beta = a - d - 2 * b
     g = gamma_squared(A)
-    return cmp_affine_surd(0, 1, g, beta + 2 * alpha * s) * sign(alpha)
+    return cmp_affine_surd(0, g, beta + 2 * alpha * s) * sign(alpha)
 
 
 def _is_m2plus(A: Matrix2) -> bool:
@@ -103,7 +108,7 @@ def classify_matrix(A: Matrix2) -> MatrixClassReport:
     concave_by_alpha = alpha_sign > 0
     concave_by_rho = cmp_rho(A, 0) > 0
     # Left eigenvector is (a - d + gamma, 2b); compare its two entries.
-    concave_by_w = cmp_affine_surd(a - d, 1, gamma_squared(A), 2 * b) > 0
+    concave_by_w = cmp_affine_surd(a - d, gamma_squared(A), 2 * b) > 0
     # Second difference of the induced map T at 0, 1/2, 1; negative iff concave.
     half = Fraction(1, 2) if A.is_exact() else 0.5
     second_diff = A.moebius(0) - 2 * A.moebius(half) + A.moebius(1)
@@ -135,6 +140,7 @@ def pair_report(pair: MatrixPair) -> PairClassReport:
     d2_margin: Optional[Number] = None
     in_c = False
     in_d = False
+    witnesses = None
 
     alpha0 = A0.a + A0.c - A0.b - A0.d
     alpha1 = A1.a + A1.c - A1.b - A1.d
@@ -150,6 +156,7 @@ def pair_report(pair: MatrixPair) -> PairClassReport:
     if in_c:
         d0 = projective_data(A0)
         d1 = projective_data(A1)
+        witnesses = (d0, d1)
         d1_margin = d1.rho - d0.sigma  # negative inside the Sturmian class
         d2_margin = d1.sigma - d0.rho  # negative inside the Sturmian class
         if pair.is_exact():
@@ -166,6 +173,7 @@ def pair_report(pair: MatrixPair) -> PairClassReport:
         in_D=in_d,
         image_gap=image_gap,
         inequality_margins=(gap_margin, alpha_margin, d1_margin, d2_margin),
+        witnesses=witnesses,
     )
 
 

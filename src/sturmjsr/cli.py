@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import classify as cls
 from . import jsr as jsrmod
 from . import staircase as st
-from .certify import TransferSeriesConfig, Verdict, _thresholds, certify
+from .certify import TAIL_TOL, Verdict, _thresholds, certify
 from .dynamics import Interval, _system_of_report
 from .errors import (
     NoConvergence,
@@ -60,7 +60,7 @@ def _jsonable(obj):
     if isinstance(obj, Interval):
         return [_jsonable(obj.lo), _jsonable(obj.hi)]
     if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
@@ -158,8 +158,7 @@ def cmd_staircase(args) -> int:
 
 def cmd_certify(args) -> int:
     pair = load_pair(args.pair)
-    cfg = TransferSeriesConfig(tail_tolerance=args.tail_tol)
-    report = certify(pair, parse_scalar(args.t), grid_size=args.grid, cfg=cfg)
+    report = certify(pair, parse_scalar(args.t), grid_size=args.grid, tail_tol=args.tail_tol)
     _emit(report)
     return 0 if report.verdict is Verdict.CERTIFIED else INCONCLUSIVE_EXIT
 
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pair")
     p.add_argument("--t", required=True)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--tail-tol", type=float, default=1e-12)
+    p.add_argument("--tail-tol", type=float, default=TAIL_TOL)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("plateau", help="scale interval of one rational parameter")

@@ -34,7 +34,6 @@ from .matrices import (
     MatrixPair,
     ProjectiveData,
     fixed_point,
-    projective_data,
     word_product,
 )
 from .scalar import Number
@@ -122,13 +121,14 @@ def _system_of_report(pair: MatrixPair, report: PairClassReport, t: Number) -> I
     """induced_system for a caller that already holds the pair's class report."""
     if not report.in_C:
         raise NotInClassC(f"pair is not concave-convex: margins {report.inequality_margins}")
+    proj0, proj1 = report.witnesses
     return InducedSystem(
         pair=pair,
         t=t,
         X0=induced_image(pair.A0),
         X1=induced_image(pair.A1),
-        proj0=projective_data(pair.A0),
-        proj1=projective_data(pair.A1),
+        proj0=proj0,
+        proj1=proj1,
         report=report,
     )
 

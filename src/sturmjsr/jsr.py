@@ -25,15 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .classify import pair_report
-from .dynamics import InducedSystem, class_d_system, f_eval, periodic_orbit
-from .errors import (
-    DomainError,
-    EmptyWord,
-    NonPositiveMatrix,
-    NonPositiveScale,
-    NotInClassC,
-)
+from .dynamics import InducedSystem, class_d_system, f_eval, induced_system, periodic_orbit
+from .errors import DomainError, EmptyWord, NonPositiveMatrix, NonPositiveScale
 from .matrices import MatrixPair, _walk, word_value, word_values
 from .scalar import Number
 from .words import RationalParameter, is_balanced, mechanical_word, stern_brocot_words
@@ -185,12 +178,9 @@ def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> flo
 
     By the ergodic-average identity this equals the integral of the induced
     function of the scaled pair against the Sturmian measure of the given
-    parameter.
+    parameter.  induced_system checks that the pair is in class C and t > 0.
     """
-    if not pair_report(pair).in_C:
-        raise NotInClassC("sturmian values need a concave-convex pair")
-    if not t > 0:
-        raise NonPositiveScale(f"t must be positive, got {t}")
+    induced_system(pair, t)
     return word_value(pair.to_float(), float(t), mechanical_word(param))
 
 

@@ -232,8 +232,8 @@ def eigenvalues(A: Matrix2) -> tuple[Number, Number]:
     return ((tr + root) / 2, (tr - root) / 2)
 
 
-def _normalised(prod: Entries, log_scale: float) -> tuple[Entries, float]:
-    """One float normalization step: prod / m and log_scale + log m, m = max |entry|.
+def _normalised(prod: Entries) -> tuple[Entries, float]:
+    """One float normalization step: prod / m and log m, m = max |entry|.
 
     The division is a multiply by the reciprocal.  _walk takes this step,
     inlined, after each letter.
@@ -241,7 +241,7 @@ def _normalised(prod: Entries, log_scale: float) -> tuple[Entries, float]:
     a, b, c, d = prod
     m = max(abs(a), abs(b), abs(c), abs(d))
     r = 1.0 / m
-    return (r * a, r * b, r * c, r * d), log_scale + math.log(m)
+    return (r * a, r * b, r * c, r * d), math.log(m)
 
 
 # One prefix of a walked word: its normalized product (a, b, c, d), the sum
@@ -264,7 +264,7 @@ def _walk(
     product.
     """
     f0, f1 = pair.A0.to_float().entries(), pair.A1.to_float().entries()
-    (e0, s0), (e1, s1) = _normalised(f0, 0.0), _normalised(f1, 0.0)
+    (e0, s0), (e1, s1) = _normalised(f0), _normalised(f1)
     firsts = {"0": (*e0, s0, 0), "1": (*e1, s1, 1)}
     factors = {"0": (*f0, 0), "1": (*f1, 1)}
     log_t = math.log(float(t))

@@ -3,7 +3,8 @@
 Format: a JSON object with exactly the keys "A0" and "A1", each a 2x2
 row-major array.  Entries are JSON numbers or strings "p/q" with arbitrary
 precision integers; strings and integers stay on the exact rational path,
-other finite numbers go to floats.
+other finite numbers go to floats.  An exact entry whose float is infinite,
+or 0 while the entry is not, is rejected.
 """
 
 from __future__ import annotations
@@ -14,27 +15,21 @@ from fractions import Fraction
 
 from .errors import PairFileError
 from .matrices import Matrix2, MatrixPair
-from .scalar import Number
+from .scalar import Number, require_float_range
 
 
 def _parse_entry(value) -> Number:
-    if isinstance(value, bool):
-        raise PairFileError(f"matrix entry must be a number or 'p/q' string: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):  # json.load reads NaN, Infinity and 1e400
             raise PairFileError(f"matrix entry must be finite: {value!r}")
         return value
-    if isinstance(value, str):
-        try:
-            num, _, den = value.partition("/")
-            if den == "":
-                return Fraction(int(num))
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PairFileError(f"bad rational entry {value!r}: {exc}") from exc
-    raise PairFileError(f"matrix entry must be a number or 'p/q' string: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise PairFileError(f"matrix entry must be a number or 'p/q' string: {value!r}")
+    try:
+        num, _, den = str(value).partition("/")
+        return require_float_range(Fraction(int(num), int(den or 1)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise PairFileError(f"bad rational entry {value!r}: {exc}") from exc
 
 
 def _parse_matrix(rows, name: str) -> Matrix2:

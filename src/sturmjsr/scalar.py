@@ -57,27 +57,21 @@ def sign(x: Number) -> int:
     return 0
 
 
-def cmp_affine_surd(u: Number, v: Number, g: Number, w: Number) -> int:
-    """Sign of (u + v*sqrt(g)) - w, exact when all arguments are rational.
+def cmp_affine_surd(u: Number, g: Number, w: Number) -> int:
+    """Sign of (u + sqrt(g)) - w, exact when all arguments are rational.
 
     Requires g >= 0.  On the float path the expression is evaluated directly
     and its sign taken with the default absolute tolerance.
     """
-    if not is_exact(u, v, g, w):
-        val = float(u) + float(v) * math.sqrt(float(g)) - float(w)
+    if not is_exact(u, g, w):
+        val = float(u) + math.sqrt(float(g)) - float(w)
         if abs(val) <= ABS_TOL:
             return 0
         return sign(val)
     r = w - u
-    if v == 0:
-        return -sign(r)
-    if v > 0:
-        if r < 0:
-            return 1
-        return sign(v * v * g - r * r)
-    if r > 0:
-        return -1
-    return sign(r * r - v * v * g)
+    if r < 0:
+        return 1
+    return sign(g - r * r)
 
 
 def strictly_positive(x: Number) -> bool:
@@ -93,34 +87,41 @@ def strictly_negative(x: Number) -> bool:
     return float(x) < -ABS_TOL
 
 
+def require_float_range(x: Fraction) -> Fraction:
+    """x itself, or a ValueError when its float is infinite, or 0 while x is not."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f) or (f == 0 and x != 0):
+        raise ValueError("exact value does not fit a float")
+    return x
+
+
 def parse_scalar(text: str) -> Number:
     """Parse a CLI/file scalar: 'p/q' or an integer parse exactly, decimals as float.
 
-    A zero denominator or a non-finite value (inf, nan, 1e400) is a ValueError.
+    A zero denominator, a non-finite value (inf, nan, 1e400) or an exact value
+    that does not fit a float is a ValueError.
     """
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
+        return require_float_range(Fraction(int(num), int(den)))
     try:
-        return Fraction(int(s))
+        exact = Fraction(int(s))
     except ValueError:
         x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {text!r}")
-    return x
+        if not math.isfinite(x):
+            raise ValueError(f"not a finite number: {text!r}") from None
+        return x
+    return require_float_range(exact)
 
 
-def format_scalar(x: Number) -> str | int | float:
-    """JSON-friendly rendering: exact values as 'p/q' strings or ints, floats as-is."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return float(x)
+def format_scalar(x: int | Fraction) -> int | str:
+    """JSON-friendly rendering of an exact value: an int, or a 'p/q' string."""
+    if x.denominator == 1:
+        return int(x)
+    return f"{x.numerator}/{x.denominator}"

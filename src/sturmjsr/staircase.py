@@ -235,8 +235,8 @@ def parameter_bracket_of_coordinate(sys: InducedSystem, c: Number) -> ParameterB
     near_lo, near_hi = cf <= x0 + e, cf >= x1 - e
     while not (near_lo and near_hi):
         m = (lo[0] + hi[0], lo[1] + hi[1])
-        x_m = _normalised(_product(y_lo, x_hi), 0.0)[0]
-        y_m = _normalised(_product(x_hi, y_lo), 0.0)[0]
+        x_m = _normalised(_product(y_lo, x_hi))[0]
+        y_m = _normalised(_product(x_hi, y_lo))[0]
         c_lo, c_hi = fixed_point(Matrix2(*x_m)), fixed_point(Matrix2(*y_m))
         e = periodic_point_budget(m[1])
         if c_lo + e < cf < c_hi - e:

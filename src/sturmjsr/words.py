@@ -49,9 +49,6 @@ class ParameterBracket:
     upper: RationalParameter
     exact: Optional[RationalParameter] = None
 
-    def width(self) -> Fraction:
-        return self.upper.as_fraction() - self.lower.as_fraction()
-
 
 def mechanical_word(param: RationalParameter) -> str:
     """Lower mechanical word of slope p/q with intercept zero."""

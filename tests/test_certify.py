@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction as F
@@ -6,7 +7,6 @@ import pytest
 
 from sturmjsr import (
     Domination,
-    TransferSeriesConfig,
     Verdict,
     certify,
     d2_pair,
@@ -74,29 +74,30 @@ def test_phi_series_vanishes_at_zero(reference_system):
 
 
 @pytest.mark.parametrize("tol", [0, -1e-12, math.nan, math.inf, 1e400])
-def test_tail_tolerance_must_be_positive_and_finite(tol):
+def test_tail_tolerance_must_be_positive_and_finite(reference_pair, reference_system, tol):
+    # At t = 1/8 A0 dominates, so certify runs no series: it checks first.
     with pytest.raises(DomainError):
-        TransferSeriesConfig(tail_tolerance=tol)
+        delta_numeric(reference_system, 0.5, tol)
+    with pytest.raises(DomainError):
+        certify(reference_pair, F(1, 8), tail_tol=tol)
 
 
-def test_phi_series_depth_cap(reference_system):
-    from sturmjsr.errors import NoConvergence
-
+def test_phi_series_depth_cap(reference_system, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("sturmjsr.certify"), "SERIES_MAX_DEPTH", 5)
     with pytest.raises(NoConvergence):
-        phi_series(reference_system, 0.5, 1.0, TransferSeriesConfig(1e-12, 5))
+        phi_series(reference_system, 0.5, 1.0)
 
 
 def test_phi_batch_values_do_not_depend_on_the_other_points(reference_system, symmetric_system):
     # The pieces depend on c only, so each point of a batch reads the same
     # bits alone, and delta_numeric is its three-point batch.
-    cfg = TransferSeriesConfig()
     for sys in (reference_system, symmetric_system):
         ends = [1.0, float(sys.X0.hi), float(sys.X1.lo)]
         zs = [0.0, 1 / 3, 0.5, 0.9] + ends + [float(sys.X0.lo), float(sys.X1.hi)]
         for c in (0.0, 0.3, 0.7, 1.0):
-            batch = _phi_batch(sys, c, zs, cfg)
+            batch = _phi_batch(sys, c, zs)
             for z, value in zip(zs, batch):
-                assert value.hex() == _phi_batch(sys, c, [z], cfg)[0].hex(), (c, z)
+                assert value.hex() == _phi_batch(sys, c, [z])[0].hex(), (c, z)
             v_end, v0, v1 = batch[4:7]
             assert delta_numeric(sys, c).hex() == (v_end - (v0 - v1)).hex()
 
@@ -107,7 +108,7 @@ def test_series_split_at_a_rounded_pole_raises_no_convergence(symmetric_system):
     c = 0.7101020119684661
     assert math.isfinite(delta_numeric(symmetric_system, c))
     with pytest.raises(NoConvergence):
-        delta_numeric(symmetric_system, c, TransferSeriesConfig(tail_tolerance=1e-15))
+        delta_numeric(symmetric_system, c, tail_tol=1e-15)
 
 
 def test_delta_extremal_exact_ratios(reference_system):

@@ -36,6 +36,14 @@ from sturmjsr.errors import NonPositiveScale
 from conftest import random_positive_matrix, random_rational
 
 
+def test_affine_matrix_is_not_applicable():
+    # alpha = 0 and det 3: positive, but the induced map is affine.
+    r = classify_matrix(Matrix2(2, 1, 1, 2))
+    assert (r.positive, r.det_positive) == (True, True)
+    assert r.convexity is MatrixConvexity.NOT_APPLICABLE
+    assert r.witness is None
+
+
 def test_classify_reference_matrices(reference_pair):
     r0 = classify_matrix(reference_pair.A0)
     assert r0.convexity is MatrixConvexity.PROJECTIVELY_CONCAVE
@@ -211,48 +219,53 @@ def _classify_cli(pair):
             assert main(["classify", str(path)]) == 0
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda pair: parameter_map(pair, 1, 20),
-        lambda pair: staircase_scan(pair, 0.2, 16, 10, 20),
-        lambda pair: plateau_bounds(pair, RationalParameter(1, 2), 1e-6, 20),
-        lambda pair: counterexample_search(pair, 0.38, 1e-6, 20),
-        lambda pair: thresholds(pair),
-        lambda pair: domination_check(pair, 1),
-        lambda pair: certify(pair, 1),
-        lambda pair: certify(pair, F(1, 8)),
-        lambda pair: certify(pair, 8),
-        lambda pair: sturmian_restricted_max(pair, 1, 20),
-        _classify_cli,
-    ],
-    ids=[
-        "parameter_map",
-        "staircase_scan",
-        "plateau_bounds",
-        "counterexample_search",
-        "thresholds",
-        "domination_check",
-        "certify-interior",
-        "certify-A0",
-        "certify-A1",
-        "sturmian_restricted_max",
-        "cli-classify",
-    ],
-)
+# One public call of each kind on a class-D pair, without the CLI.
+LIBRARY_CALLS = [
+    pytest.param(lambda pair: parameter_map(pair, 1, 20), id="parameter_map"),
+    pytest.param(lambda pair: staircase_scan(pair, 0.2, 16, 10, 20), id="staircase_scan"),
+    pytest.param(
+        lambda pair: plateau_bounds(pair, RationalParameter(1, 2), 1e-6, 20), id="plateau_bounds"
+    ),
+    pytest.param(
+        lambda pair: counterexample_search(pair, 0.38, 1e-6, 20), id="counterexample_search"
+    ),
+    pytest.param(lambda pair: thresholds(pair), id="thresholds"),
+    pytest.param(lambda pair: domination_check(pair, 1), id="domination_check"),
+    pytest.param(lambda pair: certify(pair, 1), id="certify-interior"),
+    pytest.param(lambda pair: certify(pair, F(1, 8)), id="certify-A0"),
+    pytest.param(lambda pair: certify(pair, 8), id="certify-A1"),
+    pytest.param(lambda pair: sturmian_restricted_max(pair, 1, 20), id="sturmian_restricted_max"),
+]
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS + [pytest.param(_classify_cli, id="cli-classify")])
 def test_public_call_classifies_the_pair_once(reference_pair, monkeypatch, call):
-    # Count pair_report under every name a sturmjsr module binds it to.
-    original = pair_report
+    calls = _count_calls(monkeypatch, pair_report)
+    call(reference_pair)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+def test_public_call_computes_each_members_projective_data_once(
+    reference_pair, monkeypatch, call
+):
+    # The class report carries both members' projective data to the system.
+    calls = _count_calls(monkeypatch, projective_data)
+    call(reference_pair)
+    assert len(calls) == 2
+
+
+def _count_calls(monkeypatch, original):
+    """Count original's calls under every name a sturmjsr module binds it to."""
     calls = []
 
-    def counting(pair):
-        calls.append(pair)
-        return original(pair)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "sturmjsr" or name.startswith("sturmjsr."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
-    call(reference_pair)
-    assert len(calls) == 1
+    return calls

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ REFERENCE = {
     "A0": [["5/8", "3/112"], ["7/8", "15/16"]],
     "A1": [["15/16", "1"], ["1/128", "7/8"]],
 }
+# An exact integer whose float overflows.
+HUGE = "1" + "0" * 400
 
 
 @pytest.fixture()
@@ -86,6 +90,32 @@ def test_sturmian_value_command(pair_file, capsys):
     assert abs(float(out.strip())) <= 1e-12
 
 
+def test_sturmian_value_outside_class_c_exits_2(tmp_path, capsys):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"A0": [[2, 1], [1, 2]], "A1": [[2, 1], [1, 2]]}))
+    code, out, err = run(capsys, ["sturmian-value", str(path), "--t", "1", "--param", "1/2"])
+    assert (code, out) == (2, "") and err.startswith("error: pair is not concave-convex")
+
+
+# sha256 of classify's stdout on the README pair file and on its float copy.
+CLASSIFY_STDOUT_SHA256 = {
+    "exact": "8ba511a6d2af19a4a4baa968f87d23ee00c48e20e3957ec379ecc00f4681b54d",
+    "float": "1e2ce18e2ed959da32bc96a02998c4f13fbc31ddf8b30a933d20c8f3875c9256",
+}
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_classify_stdout_is_pinned(tmp_path, capsys, kind):
+    doc = REFERENCE
+    if kind == "float":
+        doc = {k: [[float(Fraction(x)) for x in row] for row in rows] for k, rows in doc.items()}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["classify", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_STDOUT_SHA256[kind]
+
+
 def test_staircase_command_csv(pair_file, capsys, tmp_path):
     argv = [
         "staircase", pair_file,
@@ -152,6 +182,16 @@ def test_plateau_command(pair_file, capsys):
     assert doc["t_hi"] == "24/77"
 
 
+def test_plateau_of_the_top_parameter_is_unbounded(pair_file, capsys):
+    code, out, _ = run(
+        capsys,
+        ["plateau", pair_file, "--param", "1/1", "--resolution", "1e-6", "--max-den", "20"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["t_lo"], doc["t_hi"]) == ("61/8", "inf")
+
+
 def test_plateau_not_found_exits_4(pair_file, capsys):
     code, _, _ = run(
         capsys,
@@ -199,6 +239,11 @@ def test_counterexample_command(pair_file, capsys):
          "--out", "/"],
         ["certify", "--t", "1", "--tail-tol", "inf"],
         ["certify", "--t", "3", "--tail-tol", "1e400"],
+        ["certify", "--t", HUGE],
+        ["certify", "--t", "1/1" + HUGE[1:]],
+        ["staircase", "--t-min", "1", "--t-max", HUGE, "--samples", "3", "--max-den", "10"],
+        ["jsr", "--t", HUGE, "--max-len", "3"],
+        ["sturmian-value", "--t", HUGE, "--param", "1/2"],
     ],
     ids=[
         "staircase-cap-0",
@@ -217,6 +262,11 @@ def test_counterexample_command(pair_file, capsys):
         "staircase-out-unwritable",
         "certify-tail-tol-inf",
         "certify-tail-tol-overflow",
+        "certify-t-exact-overflow",
+        "certify-t-exact-underflow",
+        "staircase-t-max-exact-overflow",
+        "jsr-t-exact-overflow",
+        "sturmian-value-t-exact-overflow",
     ],
 )
 def test_bad_flag_values_exit_1(pair_file, capsys, argv):
@@ -226,7 +276,18 @@ def test_bad_flag_values_exit_1(pair_file, capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        "1e400",
+        pytest.param(f'"{HUGE}"', id="exact-string-overflow"),
+        pytest.param(HUGE, id="exact-integer-overflow"),
+        pytest.param(f'"1/{HUGE}"', id="exact-underflow"),
+    ],
+)
 def test_non_finite_pair_entries_rejected(tmp_path, capsys, literal):
     text = json.dumps(REFERENCE).replace('"5/8"', literal)
     with pytest.raises(PairFileError):

@@ -19,7 +19,13 @@ from sturmjsr import (
     sturmian_value,
     thresholds,
 )
-from sturmjsr.errors import DomainError, NonPositiveMatrix, NotInClassD
+from sturmjsr.errors import (
+    DomainError,
+    NonPositiveMatrix,
+    NonPositiveScale,
+    NotInClassC,
+    NotInClassD,
+)
 from sturmjsr.jsr import VALUE_TIE_TOL, lyndon_words
 from sturmjsr.matrices import Matrix2, MatrixPair, spectral_radius, word_value
 from sturmjsr.staircase import _envelope
@@ -215,6 +221,15 @@ def test_upper_norm_smoke_commuting_like():
 def test_sturmian_value_fixed_parameters(reference_pair):
     assert abs(sturmian_value(reference_pair, 1, RationalParameter(0, 1))) <= 1e-14
     assert abs(sturmian_value(reference_pair, 1, RationalParameter(1, 1))) <= 1e-14
+
+
+def test_sturmian_value_checks_the_class_then_the_scale(reference_pair):
+    affine = Matrix2(2, 1, 1, 2)  # alpha = 0: neither concave nor convex
+    with pytest.raises(NotInClassC):
+        sturmian_value(MatrixPair(affine, affine), 0, RationalParameter(1, 2))
+    for t in (0, -1, F(-1, 2), 0.0):
+        with pytest.raises(NonPositiveScale):
+            sturmian_value(reference_pair, t, RationalParameter(1, 2))
 
 
 def test_sturmian_value_alternating_word(reference_pair):
