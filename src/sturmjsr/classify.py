@@ -8,30 +8,25 @@ concave, A1 convex, and the induced image of A0 strictly left of that of
 A1.  The Sturmian class additionally demands the strict cross inequalities
 rho(A1) < sigma(A0) and sigma(A1) < rho(A0).
 
-Decisions run on the exact rational path whenever the entries are rational:
+Every verdict is exact for every input, a float counting as the dyadic
+rational it stores.  Each class test is invariant under scaling one member
+by a positive number, so it is decided on the member's integer multiple:
 comparisons against rho reduce to the sign of u + sqrt(g) - w with rational
-u, g, w, which is decided without floating point.  Float inputs decide with
-a strict margin beyond the default absolute tolerance.
+u, g, w, which is decided without floating point.  The reported margins,
+image gap and projective data are computed from the entries as given.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InconsistentEquivalences, NonPositiveScale
 from .matrices import Matrix2, MatrixPair, ProjectiveData, gamma_squared, projective_data
-from .scalar import (
-    ABS_TOL,
-    Number,
-    cmp_affine_surd,
-    is_exact,
-    sign,
-    strictly_negative,
-    strictly_positive,
-)
+from .scalar import Number, cmp_affine_surd, is_exact, sign
 
 
 class MatrixConvexity(enum.Enum):
@@ -65,7 +60,7 @@ class PairClassReport:
 
 
 def cmp_rho(A: Matrix2, s: Number) -> int:
-    """Sign of rho(A) - s, exact for rational entries.
+    """Sign of rho(A) - s, exact for rational entries and s.
 
     rho = (sqrt(g) - beta) / (2 alpha), so the sign of rho - s equals the
     sign of sqrt(g) - (beta + 2 alpha s) times the sign of alpha.
@@ -77,9 +72,19 @@ def cmp_rho(A: Matrix2, s: Number) -> int:
     return cmp_affine_surd(0, g, beta + 2 * alpha * s) * sign(alpha)
 
 
-def _is_m2plus(A: Matrix2) -> bool:
-    entries_pos = all(strictly_positive(x) for x in A.entries())
-    return entries_pos and strictly_positive(A.det())
+def _integer_multiple(A: Matrix2) -> Matrix2:
+    """L*A with integer entries, L > 0 the lcm of the denominators of A's entries.
+
+    int, Fraction and float entries all give their exact ratio, so the
+    class tests decided on the multiple are exact for every input.
+    """
+    ratios = [x.as_integer_ratio() for x in A.entries()]
+    lcm = math.lcm(*(q for _, q in ratios))
+    return Matrix2(*(p * (lcm // q) for p, q in ratios))
+
+
+def _alpha(M: Matrix2) -> Number:
+    return M.a + M.c - M.b - M.d
 
 
 def classify_matrix(A: Matrix2) -> MatrixClassReport:
@@ -87,32 +92,28 @@ def classify_matrix(A: Matrix2) -> MatrixClassReport:
 
     The criteria (sign of alpha, sign of rho, ordering of the left Perron
     eigenvector entries, sign of the second difference of the induced map)
-    are evaluated independently; disagreement raises
-    InconsistentEquivalences, which is impossible on the exact path.
+    are evaluated independently and exactly, on the integer multiple of A,
+    so InconsistentEquivalences signals a defect.  The witness is the
+    projective data of A as given.  Where float rounding leaves A without
+    it, projective_data raises: DomainError when the rounded alpha or
+    beta + gamma is 0, NonPositiveMatrix when the rounded determinant is.
     """
-    positive = all(strictly_positive(x) for x in A.entries())
-    det_positive = strictly_positive(A.det())
-    if not (positive and det_positive):
+    M = _integer_multiple(A)
+    positive = M.is_positive()
+    det_positive = M.det() > 0
+    alpha = _alpha(M)
+    if not (positive and det_positive) or alpha == 0:
+        # alpha = 0: affine induced map, neither strictly concave nor convex.
         return MatrixClassReport(positive, det_positive, MatrixConvexity.NOT_APPLICABLE, None)
 
-    a, b, c, d = A.entries()
-    alpha = a + c - b - d
-    if is_exact(alpha):
-        alpha_sign = sign(alpha)
-    else:
-        alpha_sign = 0 if abs(float(alpha)) <= ABS_TOL else sign(alpha)
-    if alpha_sign == 0:
-        # Affine induced map: neither strictly concave nor strictly convex.
-        return MatrixClassReport(positive, det_positive, MatrixConvexity.NOT_APPLICABLE, None)
-
-    concave_by_alpha = alpha_sign > 0
-    concave_by_rho = cmp_rho(A, 0) > 0
+    a, b, c, d = M.entries()
+    concave_by_alpha = alpha > 0
+    concave_by_rho = cmp_rho(M, 0) > 0
     # Left eigenvector is (a - d + gamma, 2b); compare its two entries.
-    concave_by_w = cmp_affine_surd(a - d, gamma_squared(A), 2 * b) > 0
+    concave_by_w = cmp_affine_surd(a - d, gamma_squared(M), 2 * b) > 0
     # Second difference of the induced map T at 0, 1/2, 1; negative iff concave.
-    half = Fraction(1, 2) if A.is_exact() else 0.5
-    second_diff = A.moebius(0) - 2 * A.moebius(half) + A.moebius(1)
-    concave_by_shape = strictly_negative(second_diff)
+    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    concave_by_shape = M.moebius(zero) - 2 * M.moebius(half) + M.moebius(one) < 0
 
     votes = (concave_by_alpha, concave_by_rho, concave_by_w, concave_by_shape)
     if len(set(votes)) != 1:
@@ -129,9 +130,15 @@ def classify_matrix(A: Matrix2) -> MatrixClassReport:
 
 
 def pair_report(pair: MatrixPair) -> PairClassReport:
-    """Full class report for a pair; never raises."""
+    """Full class report for a pair, decided exactly on the members' integer multiples.
+
+    The margins, the image gap and the witnesses come from the entries as
+    given, and a class-C pair raises as classify_matrix does when float
+    rounding leaves a member without its projective data.
+    """
     A0, A1 = pair.A0, pair.A1
-    in_m2plus = _is_m2plus(A0) and _is_m2plus(A1)
+    M0, M1 = _integer_multiple(A0), _integer_multiple(A1)
+    in_m2plus = all(M.is_positive() and M.det() > 0 for M in (M0, M1))
 
     gap_margin: Optional[Number] = None
     image_gap: Optional[tuple[Number, Number]] = None
@@ -142,30 +149,22 @@ def pair_report(pair: MatrixPair) -> PairClassReport:
     in_d = False
     witnesses = None
 
-    alpha0 = A0.a + A0.c - A0.b - A0.d
-    alpha1 = A1.a + A1.c - A1.b - A1.d
     if in_m2plus:
         image_gap = (A0.a / (A0.a + A0.c), A1.b / (A1.b + A1.d))
         gap_margin = A1.b / A1.d - A0.a / A0.c
-        alpha_margin = min(alpha0, -alpha1)
-        in_c = (
-            strictly_positive(alpha0)
-            and strictly_negative(alpha1)
-            and strictly_positive(gap_margin)
-        )
+        alpha_margin = min(_alpha(A0), -_alpha(A1))
+        # The gap margin is positive iff b1 c0 > a0 d1.
+        in_c = _alpha(M0) > 0 and _alpha(M1) < 0 and M1.b * M0.c > M0.a * M1.d
     if in_c:
         d0 = projective_data(A0)
         d1 = projective_data(A1)
         witnesses = (d0, d1)
         d1_margin = d1.rho - d0.sigma  # negative inside the Sturmian class
         d2_margin = d1.sigma - d0.rho  # negative inside the Sturmian class
-        if pair.is_exact():
-            first = cmp_rho(A1, d0.sigma) < 0
-            second = cmp_rho(A0, d1.sigma) > 0
-        else:
-            first = strictly_negative(d1_margin)
-            second = strictly_negative(d2_margin)
-        in_d = first and second
+        # sigma = (b - a) / alpha, like rho, is invariant under scaling.
+        sigma0 = Fraction(M0.b - M0.a, _alpha(M0))
+        sigma1 = Fraction(M1.b - M1.a, _alpha(M1))
+        in_d = cmp_rho(M1, sigma0) < 0 and cmp_rho(M0, sigma1) > 0
 
     return PairClassReport(
         in_M2plus=in_m2plus,

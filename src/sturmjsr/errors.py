@@ -18,7 +18,7 @@ class EmptyWord(SturmJsrError):
 
 
 class InconsistentEquivalences(SturmJsrError):
-    """The four equivalent convexity criteria disagree; signals a tolerance problem."""
+    """The four equivalent convexity criteria disagree; decided exactly, they cannot."""
 
 
 class DomainError(SturmJsrError):

@@ -146,7 +146,8 @@ def projective_data(A: Matrix2) -> ProjectiveData:
 
     Raises NonPositiveMatrix when the positivity precondition fails and
     DomainError when alpha = 0 (the induced map is affine and the projective
-    scalars rho, sigma, delta, p are undefined).
+    scalars rho, sigma, delta, p are undefined) or when rho's denominator
+    beta + gamma, which is 0 only at alpha = 0, rounds to 0.
     """
     require_positive(A)
     a, b, c, d = A.entries()
@@ -155,6 +156,8 @@ def projective_data(A: Matrix2) -> ProjectiveData:
         raise DomainError("alpha = 0: induced map is affine, projective scalars undefined")
     beta = a - d - 2 * b
     gamma = sqrt_number(gamma_squared(A))
+    if beta + gamma == 0:
+        raise DomainError(f"beta + gamma rounds to 0 for {A.entries()}: rho is undefined")
     rho = 2 * b / (beta + gamma)
     sigma = (b - a) / alpha
     delta = (b + d) / alpha

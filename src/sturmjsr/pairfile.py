@@ -64,6 +64,6 @@ def load_pair(path: str) -> MatrixPair:
             data = json.load(fh)
     except OSError as exc:
         raise PairFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal over the digit limit
         raise PairFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_pair(data)

@@ -1,10 +1,10 @@
-"""Numeric policy shared by the exact-rational and floating paths.
+"""Scalars and the helpers that need care with them.
 
 Scalars are plain Python numbers: ``int`` and ``Fraction`` form the exact
 path (bit-identical across runs), ``float`` the approximate one.  Arithmetic
 on mixed inputs falls through to floats automatically; the helpers here
-supply the pieces that need care, namely square roots, sign decisions on
-expressions containing one square root, and tolerance-aware comparisons.
+supply the pieces that need care, namely square roots, exact sign decisions
+on expressions containing one square root, and parsing.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from typing import Union
 Number = Union[int, float, Fraction]
 
 EXACT_TYPES = (int, Fraction)
-
-# Default comparison policy on the float path.
-ABS_TOL = 1e-12
 
 
 def is_exact(*values: Number) -> bool:
@@ -58,33 +55,11 @@ def sign(x: Number) -> int:
 
 
 def cmp_affine_surd(u: Number, g: Number, w: Number) -> int:
-    """Sign of (u + sqrt(g)) - w, exact when all arguments are rational.
-
-    Requires g >= 0.  On the float path the expression is evaluated directly
-    and its sign taken with the default absolute tolerance.
-    """
-    if not is_exact(u, g, w):
-        val = float(u) + math.sqrt(float(g)) - float(w)
-        if abs(val) <= ABS_TOL:
-            return 0
-        return sign(val)
+    """Sign of (u + sqrt(g)) - w, exact for rational u, g, w with g >= 0."""
     r = w - u
     if r < 0:
         return 1
     return sign(g - r * r)
-
-
-def strictly_positive(x: Number) -> bool:
-    """Strict positivity; float margins must exceed ABS_TOL."""
-    if is_exact(x):
-        return x > 0
-    return float(x) > ABS_TOL
-
-
-def strictly_negative(x: Number) -> bool:
-    if is_exact(x):
-        return x < 0
-    return float(x) < -ABS_TOL
 
 
 def require_float_range(x: Fraction) -> Fraction:

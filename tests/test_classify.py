@@ -9,6 +9,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmjsr import (
     Matrix2,
@@ -31,7 +33,7 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.cli import main
-from sturmjsr.errors import NonPositiveScale
+from sturmjsr.errors import DomainError, NonPositiveMatrix, NonPositiveScale
 
 from conftest import random_positive_matrix, random_rational
 
@@ -71,6 +73,132 @@ def test_classify_four_criteria_agree_exact():
     for _ in range(1000):
         m = Matrix2(*(random_rational(rng) for _ in range(4)))
         classify_matrix(m)  # must not raise
+
+
+@pytest.mark.parametrize(
+    "m", [Matrix2(10**12, 1, 1, 10**12 - 1), Matrix2(1e12, 1.0, 1.0, 1e12 - 1)], ids=["int", "float"]
+)
+def test_classify_large_entries_exactly(m):
+    # The second difference of the induced map is about -5.0e-13 here.
+    assert classify_matrix(m).convexity is MatrixConvexity.PROJECTIVELY_CONCAVE
+
+
+def _exact_copy(m: Matrix2) -> Matrix2:
+    return Matrix2(*(F(x) for x in m.entries()))
+
+
+def _across(x, steps: int):
+    """x moved by steps units for an int, by steps ulps for a float."""
+    if isinstance(x, int):
+        return x + steps
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_STEPS = st.integers(-4, 4)
+
+
+@st.composite
+def _matrices(draw, entries):
+    """A matrix with d drawn freely, or moved a few steps across alpha = 0 or det = 0."""
+    a, b, c, d = (draw(entries) for _ in range(4))
+    boundary = draw(st.sampled_from(["free", "alpha", "det"]))
+    if boundary == "alpha":
+        b = min(a, b, c)  # so that a + c - b > 0
+        d = _across(a + c - b, draw(_STEPS))
+    elif boundary == "det":
+        d = _across(b * c // a if isinstance(a, int) else b * c / a, draw(_STEPS))
+    if boundary != "det" and a * d < b * c:
+        a, b, c, d = c, d, a, b  # swapping the rows keeps alpha and flips det
+    return Matrix2(a, b, c, d)
+
+
+@st.composite
+def _pairs(draw):
+    """An int or a float pair, the member of larger alpha first, A1 possibly
+    the mirror image of A0, and A1's b possibly moved a few steps across gap = 0."""
+    entries = draw(st.sampled_from([st.integers(1, 10**6), st.floats(1e-3, 1e3)]))
+    m0 = draw(_matrices(entries))
+    # The mirror image (d, c; b, a) of m0 has the opposite alpha and the same det.
+    m1 = Matrix2(m0.d, m0.c, m0.b, m0.a) if draw(st.booleans()) else draw(_matrices(entries))
+    if m0.a + m0.c - m0.b - m0.d < m1.a + m1.c - m1.b - m1.d:
+        m0, m1 = m1, m0
+    if draw(st.booleans()):
+        # The image gap b1/d1 - a0/c0 is 0 at b1 = a0 d1 / c0.
+        a0d1 = m0.a * m1.d
+        b1 = a0d1 // m0.c if isinstance(a0d1, int) else a0d1 / m0.c
+        m1 = Matrix2(m1.a, _across(b1, draw(_STEPS)), m1.c, m1.d)
+    return MatrixPair(m0, m1)
+
+
+def _matrix_verdict(m):
+    """Whether the verdict computed a witness, and the verdict."""
+    r = classify_matrix(m)
+    return r.witness is not None, (r.positive, r.det_positive, r.convexity)
+
+
+def _pair_verdict(pair):
+    r = pair_report(pair)
+    return r.witnesses is not None, (r.in_M2plus, r.in_C, r.in_D)
+
+
+def _outcome(verdict, x):
+    """verdict(x), or None when precision runs out for the witnesses."""
+    try:
+        return verdict(x)
+    except (DomainError, NonPositiveMatrix):
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=_pairs())
+def test_verdicts_equal_those_of_the_fraction_copy(pair):
+    exact = MatrixPair(_exact_copy(pair.A0), _exact_copy(pair.A1))
+    cases = [(_pair_verdict, pair, exact)]
+    cases += [(_matrix_verdict, m, _exact_copy(m)) for m in (pair.A0, pair.A1)]
+    for verdict, given_input, copy in cases:
+        got, want = _outcome(verdict, given_input), _outcome(verdict, copy)
+        if got is not None and want is not None:
+            assert got == want
+        else:
+            # The witnesses are the projective data of the entries as given;
+            # only they, once the verdict asks for them, can run out of
+            # precision, when a float alpha, det or beta + gamma rounds to 0.
+            known = got or want
+            assert known is None or known[0]
+
+
+def test_float_pair_with_a_5e_13_image_gap_is_in_class_D():
+    # The float reference pair with A1's b moved so that the image gap is 5.0e-13.
+    pair = MatrixPair(
+        Matrix2(5 / 8, 3 / 112, 7 / 8, 15 / 16),
+        Matrix2(15 / 16, 0.875 * (5 / 7 + 5e-13), 1 / 128, 7 / 8),
+    )
+    rep = pair_report(pair)
+    assert rep.in_C and rep.in_D
+    th = thresholds(pair)
+    assert 0 < th.t0 < th.t1
+
+
+# A float matrix whose exact alpha is -2**-54 but whose float alpha is 0.0.
+ALPHA_ROUNDS_TO_ZERO = Matrix2(1.0, 0.5, 1.5 * 2**-53, 0.5 + 2**-52)
+
+
+def test_float_alpha_rounded_to_zero_raises_domain_error(reference_pair, tmp_path, capsys):
+    # The exact verdict needs the projective data of the entries as given,
+    # and precision has run out for it.
+    pair = MatrixPair(reference_pair.A0.to_float(), ALPHA_ROUNDS_TO_ZERO)
+    with pytest.raises(DomainError):
+        classify_matrix(ALPHA_ROUNDS_TO_ZERO)
+    with pytest.raises(DomainError):
+        pair_report(pair)
+    doc = {name: [[m.a, m.b], [m.c, m.d]] for name, m in (("A0", pair.A0), ("A1", pair.A1))}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: alpha = 0")
 
 
 def test_in_class_C_reference(reference_pair):

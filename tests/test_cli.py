@@ -11,7 +11,7 @@ import pytest
 
 from sturmjsr.cli import main
 from sturmjsr.errors import PairFileError
-from sturmjsr.pairfile import parse_pair
+from sturmjsr.pairfile import load_pair
 
 REFERENCE = {
     "A0": [["5/8", "3/112"], ["7/8", "15/16"]],
@@ -286,14 +286,16 @@ def test_bad_flag_values_exit_1(pair_file, capsys, argv):
         pytest.param(f'"{HUGE}"', id="exact-string-overflow"),
         pytest.param(HUGE, id="exact-integer-overflow"),
         pytest.param(f'"1/{HUGE}"', id="exact-underflow"),
+        # More digits than Python converts to an int.
+        pytest.param("1" + "0" * 5000, id="integer-literal-over-digit-limit"),
     ],
 )
 def test_non_finite_pair_entries_rejected(tmp_path, capsys, literal):
     text = json.dumps(REFERENCE).replace('"5/8"', literal)
-    with pytest.raises(PairFileError):
-        parse_pair(json.loads(text))
     path = tmp_path / "pair.json"
     path.write_text(text)
+    with pytest.raises(PairFileError):
+        load_pair(str(path))
     code, out, err = run(capsys, ["classify", str(path)])
     assert (code, out) == (2, "") and err.startswith("error:")
     for argv in (["jsr", "--t", "1", "--max-len", "4"], ["certify", "--t", "1"]):
