@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InconsistentEquivalences, NonPositiveScale
+from .errors import DomainError, InconsistentEquivalences, NonPositiveScale
 from .matrices import Matrix2, MatrixPair, ProjectiveData, gamma_squared, projective_data
 from .scalar import Number, cmp_affine_surd, is_exact, sign
 
@@ -59,17 +59,19 @@ class PairClassReport:
     )
 
 
+def _alpha(M: Matrix2) -> Number:
+    return M.a + M.c - M.b - M.d
+
+
 def cmp_rho(A: Matrix2, s: Number) -> int:
     """Sign of rho(A) - s, exact for rational entries and s.
 
     rho = (sqrt(g) - beta) / (2 alpha), so the sign of rho - s equals the
     sign of sqrt(g) - (beta + 2 alpha s) times the sign of alpha.
     """
-    a, b, c, d = A.entries()
-    alpha = a + c - b - d
-    beta = a - d - 2 * b
-    g = gamma_squared(A)
-    return cmp_affine_surd(0, g, beta + 2 * alpha * s) * sign(alpha)
+    alpha = _alpha(A)
+    beta = A.a - A.d - 2 * A.b
+    return cmp_affine_surd(0, gamma_squared(A), beta + 2 * alpha * s) * sign(alpha)
 
 
 def _integer_multiple(A: Matrix2) -> Matrix2:
@@ -83,8 +85,12 @@ def _integer_multiple(A: Matrix2) -> Matrix2:
     return Matrix2(*(p * (lcm // q) for p, q in ratios))
 
 
-def _alpha(M: Matrix2) -> Number:
-    return M.a + M.c - M.b - M.d
+def _witness(A: Matrix2, concave: bool) -> ProjectiveData:
+    """projective_data(A), which must have the sign of alpha of the exact verdict."""
+    data = projective_data(A)
+    if (data.alpha > 0) != concave:
+        raise DomainError(f"alpha of {A.entries()} rounds to {data.alpha}, against its exact sign")
+    return data
 
 
 def classify_matrix(A: Matrix2) -> MatrixClassReport:
@@ -95,8 +101,8 @@ def classify_matrix(A: Matrix2) -> MatrixClassReport:
     are evaluated independently and exactly, on the integer multiple of A,
     so InconsistentEquivalences signals a defect.  The witness is the
     projective data of A as given.  Where float rounding leaves A without
-    it, projective_data raises: DomainError when the rounded alpha or
-    beta + gamma is 0, NonPositiveMatrix when the rounded determinant is.
+    it, or with the wrong sign of alpha, this raises: NonPositiveMatrix when
+    the rounded determinant is not positive, DomainError otherwise.
     """
     M = _integer_multiple(A)
     positive = M.is_positive()
@@ -126,15 +132,17 @@ def classify_matrix(A: Matrix2) -> MatrixClassReport:
         if concave_by_alpha
         else MatrixConvexity.PROJECTIVELY_CONVEX
     )
-    return MatrixClassReport(positive, det_positive, convexity, projective_data(A))
+    return MatrixClassReport(positive, det_positive, convexity, _witness(A, concave_by_alpha))
 
 
 def pair_report(pair: MatrixPair) -> PairClassReport:
     """Full class report for a pair, decided exactly on the members' integer multiples.
 
     The margins, the image gap and the witnesses come from the entries as
-    given, and a class-C pair raises as classify_matrix does when float
-    rounding leaves a member without its projective data.
+    given.  For a class-C pair they must agree with the exact verdicts: a
+    member raises as in classify_matrix, and DomainError is raised when the
+    rounded image intervals meet, or, in class D, a rounded cross margin is
+    not negative.
     """
     A0, A1 = pair.A0, pair.A1
     M0, M1 = _integer_multiple(A0), _integer_multiple(A1)
@@ -156,8 +164,7 @@ def pair_report(pair: MatrixPair) -> PairClassReport:
         # The gap margin is positive iff b1 c0 > a0 d1.
         in_c = _alpha(M0) > 0 and _alpha(M1) < 0 and M1.b * M0.c > M0.a * M1.d
     if in_c:
-        d0 = projective_data(A0)
-        d1 = projective_data(A1)
+        d0, d1 = _witness(A0, True), _witness(A1, False)
         witnesses = (d0, d1)
         d1_margin = d1.rho - d0.sigma  # negative inside the Sturmian class
         d2_margin = d1.sigma - d0.rho  # negative inside the Sturmian class
@@ -165,6 +172,13 @@ def pair_report(pair: MatrixPair) -> PairClassReport:
         sigma0 = Fraction(M0.b - M0.a, _alpha(M0))
         sigma1 = Fraction(M1.b - M1.a, _alpha(M1))
         in_d = cmp_rho(M1, sigma0) < 0 and cmp_rho(M0, sigma1) > 0
+        # The induced system takes its branches and scalars from the entries
+        # as given, so they must agree with the exact verdicts.
+        if not image_gap[0] < image_gap[1] or (in_d and not (d1_margin < 0 and d2_margin < 0)):
+            raise DomainError(
+                f"rounding contradicts the exact class verdict: image gap {image_gap}, "
+                f"margins {(gap_margin, alpha_margin, d1_margin, d2_margin)}"
+            )
 
     return PairClassReport(
         in_M2plus=in_m2plus,

@@ -164,9 +164,17 @@ def test_verdicts_equal_those_of_the_fraction_copy(pair):
         else:
             # The witnesses are the projective data of the entries as given;
             # only they, once the verdict asks for them, can run out of
-            # precision, when a float alpha, det or beta + gamma rounds to 0.
+            # precision, when a rounded alpha, det, beta + gamma, image gap
+            # or cross margin reaches 0 or passes it.
             known = got or want
             assert known is None or known[0]
+    with contextlib.suppress(DomainError, NonPositiveMatrix):
+        rep = pair_report(pair)
+        if rep.in_C:
+            d0, d1 = rep.witnesses
+            assert rep.image_gap[0] < rep.image_gap[1] and d0.alpha > 0 > d1.alpha
+            if rep.in_D:
+                assert rep.inequality_margins[2] < 0 and rep.inequality_margins[3] < 0
 
 
 def test_float_pair_with_a_5e_13_image_gap_is_in_class_D():
@@ -181,24 +189,47 @@ def test_float_pair_with_a_5e_13_image_gap_is_in_class_D():
     assert 0 < th.t0 < th.t1
 
 
-# A float matrix whose exact alpha is -2**-54 but whose float alpha is 0.0.
-ALPHA_ROUNDS_TO_ZERO = Matrix2(1.0, 0.5, 1.5 * 2**-53, 0.5 + 2**-52)
+# Float members whose exact verdict needs a witness that rounding spoils.
+ROUNDED_AGAINST_THE_EXACT_VERDICT = [
+    # Exact alpha -2**-54, float alpha 0.0.
+    pytest.param(
+        Matrix2(1.0, 0.5, 1.5 * 2**-53, 0.5 + 2**-52), DomainError, "error: alpha = 0", id="alpha-to-zero"
+    ),
+    # Exact alpha about -3.3e-17, float alpha +5.55e-17.
+    pytest.param(
+        Matrix2(1.0, 0.75, 0.6 * 2**-52, 0.25 + 3 * 2**-54),
+        DomainError,
+        "error: alpha of",
+        id="alpha-wrong-sign",
+    ),
+    # Exact det 3 * 0.1's ulp, float det 0.0.
+    pytest.param(
+        Matrix2(3.0, 3.0, 0.1, math.nextafter(0.1, 1)),
+        NonPositiveMatrix,
+        "error: matrix has non-positive determinant",
+        id="det-to-zero",
+    ),
+]
 
 
-def test_float_alpha_rounded_to_zero_raises_domain_error(reference_pair, tmp_path, capsys):
-    # The exact verdict needs the projective data of the entries as given,
-    # and precision has run out for it.
-    pair = MatrixPair(reference_pair.A0.to_float(), ALPHA_ROUNDS_TO_ZERO)
-    with pytest.raises(DomainError):
-        classify_matrix(ALPHA_ROUNDS_TO_ZERO)
-    with pytest.raises(DomainError):
-        pair_report(pair)
+@pytest.mark.parametrize("member, error, message", ROUNDED_AGAINST_THE_EXACT_VERDICT)
+def test_float_member_rounded_against_its_exact_verdict_raises(
+    reference_pair, tmp_path, capsys, member, error, message
+):
+    # Each member is, exactly, in M2+ with alpha < 0, and so convex; its
+    # projective data, as given, is missing or of the wrong sign.
+    exact = _exact_copy(member)
+    assert exact.is_positive() and exact.det() > 0 and exact.a + exact.c < exact.b + exact.d
+    pair = MatrixPair(reference_pair.A0.to_float(), member)
+    for call in (classify_matrix, lambda m: pair_report(pair), lambda m: thresholds(pair)):
+        with pytest.raises(error):
+            call(member)
     doc = {name: [[m.a, m.b], [m.c, m.d]] for name, m in (("A0", pair.A0), ("A1", pair.A1))}
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
     assert main(["classify", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: alpha = 0")
+    assert captured.out == "" and captured.err.startswith(message)
 
 
 def test_in_class_C_reference(reference_pair):
