@@ -49,6 +49,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .dynamics import (
@@ -96,8 +97,25 @@ class Domination(enum.Enum):
 
 @dataclass(frozen=True)
 class ThresholdPair:
+    """Thresholds t0 < t1 and the one rule that splits the scales by them.
+
+    regime(t) is exact: t <= t0 and t >= t1 are domination, the rest interior.
+    inside is the rule on floats, computed once: the first and last float in it.
+    """
+
     t0: Number
     t1: Number
+
+    def regime(self, t: Number) -> Domination:
+        if t <= self.t0:
+            return Domination.A0_DOMINATES
+        return Domination.A1_DOMINATES if t >= self.t1 else Domination.INTERIOR
+
+    @cached_property
+    def inside(self) -> tuple[float, float]:
+        lo, hi = float(self.t0), float(self.t1)
+        lo = lo if lo > self.t0 else math.nextafter(lo, math.inf)
+        return lo, (hi if hi < self.t1 else math.nextafter(hi, 0.0))
 
 
 @dataclass(frozen=True)
@@ -338,15 +356,7 @@ def _thresholds(sys: InducedSystem) -> ThresholdPair:
 
 def domination_check(pair: MatrixPair, t: Number) -> Domination:
     """Which regime the scale t falls in; boundaries count as domination."""
-    return _domination(_thresholds(induced_system(pair, t)), t)
-
-
-def _domination(th: ThresholdPair, t: Number) -> Domination:
-    if t <= th.t0:
-        return Domination.A0_DOMINATES
-    if t >= th.t1:
-        return Domination.A1_DOMINATES
-    return Domination.INTERIOR
+    return _thresholds(induced_system(pair, t)).regime(t)
 
 
 def endpoint_ratio_log(pair: MatrixPair, t: Number) -> float:
@@ -417,14 +427,15 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float
 def gamma_of_t(sys: InducedSystem, tail_tol: float = TAIL_TOL) -> float:
     """Image coordinate c* of the Sturmian interval matched to the scale of sys.
 
-    Solves Delta(c*) = log((a0+c0)/((b1+d1) t)) by Brent's method on [0, 1];
-    the bracket is guaranteed because Delta runs from a positive value at
-    c = 0 to a negative one at c = 1 while the target lies strictly between
-    for interior t.  Each Delta sums the series to tail_tol.  The residual
-    checked against 1e-9 is the solver's last value, the one it converged on.
+    Solves Delta(c*) = log((a0+c0)/((b1+d1) t)) by Brent's method on [0, 1],
+    where Delta falls from positive at c = 0 to negative at c = 1.  A t that
+    ThresholdPair.regime puts outside the interior is OutOfInteriorRange; the
+    target reads float(t), which an exact t inside by less than an ulp puts
+    outside the bracket: NoConvergence.  Each Delta sums the series to
+    tail_tol; the residual checked against 1e-9 is the solver's last value.
     """
     th = _thresholds(sys)
-    if not (float(th.t0) < float(sys.t) < float(th.t1)):
+    if th.regime(sys.t) is not Domination.INTERIOR:
         raise OutOfInteriorRange(f"t = {sys.t} outside ({th.t0}, {th.t1})")
     target = endpoint_ratio_log(sys.pair, sys.t)
 
@@ -464,13 +475,15 @@ def certify(
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
     sys = class_d_system(pair, t)
-    regime = _domination(_thresholds(sys), t)
+    regime = _thresholds(sys).regime(t)
 
     interior = regime is Domination.INTERIOR
     branches = _branch_floats(sys)
     if interior:
         c_star = gamma_of_t(sys, tail_tol)
-        phi = lambda zs: _phi_batch(sys, c_star, zs, tail_tol, branches)  # noqa: E731
+        # T maps each X_i onto [0, 1], but rounding at the grid ends can step outside.
+        clamp = lambda zs: [min(max(z, 0.0), 1.0) for z in zs]  # noqa: E731
+        phi = lambda zs: _phi_batch(sys, c_star, clamp(zs), tail_tol, branches)  # noqa: E731
     else:
         c_star = 0.0 if regime is Domination.A0_DOMINATES else 1.0
         # phi_extremal's bits: a float z meets a Fraction rho as float(rho).

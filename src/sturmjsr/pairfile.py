@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 from .errors import PairFileError
 from .matrices import Matrix2, MatrixPair
-from .scalar import Number, require_float_range
+from .scalar import Number, parse_exact
 
 
 def _parse_entry(value) -> Number:
@@ -26,9 +25,8 @@ def _parse_entry(value) -> Number:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise PairFileError(f"matrix entry must be a number or 'p/q' string: {value!r}")
     try:
-        num, _, den = str(value).partition("/")
-        return require_float_range(Fraction(int(num), int(den or 1)))
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_exact(str(value))
+    except ValueError as exc:
         raise PairFileError(f"bad rational entry {value!r}: {exc}") from exc
 
 

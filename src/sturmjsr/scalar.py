@@ -62,8 +62,17 @@ def cmp_affine_surd(u: Number, g: Number, w: Number) -> int:
     return sign(g - r * r)
 
 
-def require_float_range(x: Fraction) -> Fraction:
-    """x itself, or a ValueError when its float is infinite, or 0 while x is not."""
+def parse_exact(text: str) -> Fraction:
+    """An integer or 'p/q' literal as an exact value.
+
+    A malformed literal, a zero denominator, or a value whose float is
+    infinite, or 0 while the value is not, is a ValueError.
+    """
+    num, slash, den = text.partition("/")
+    q = int(den) if slash else 1
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    x = Fraction(int(num), q)
     try:
         f = float(x)
     except OverflowError:
@@ -74,25 +83,16 @@ def require_float_range(x: Fraction) -> Fraction:
 
 
 def parse_scalar(text: str) -> Number:
-    """Parse a CLI/file scalar: 'p/q' or an integer parse exactly, decimals as float.
-
-    A zero denominator, a non-finite value (inf, nan, 1e400) or an exact value
-    that does not fit a float is a ValueError.
-    """
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return require_float_range(Fraction(int(num), int(den)))
-    try:
-        exact = Fraction(int(s))
-    except ValueError:
-        x = float(s)
-        if not math.isfinite(x):
-            raise ValueError(f"not a finite number: {text!r}") from None
-        return x
-    return require_float_range(exact)
+    """A CLI scalar: parse_exact's literals exactly, finite decimals as float, else a ValueError."""
+    if "/" not in text:
+        try:
+            int(text)
+        except ValueError:
+            x = float(text)
+            if not math.isfinite(x):
+                raise ValueError(f"not a finite number: {text!r}") from None
+            return x
+    return parse_exact(text)
 
 
 def format_scalar(x: int | Fraction) -> int | str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import Domination, ThresholdPair, _domination, _thresholds
+from .certify import ThresholdPair, _thresholds
 from .dynamics import InducedSystem, class_d_system, periodic_point_budget
 from .errors import DomainError, NonPositiveScale, PlateauNotFound
 from .matrices import (
@@ -155,22 +155,23 @@ def _validated(pair: MatrixPair, max_den: int, t: Number = 1) -> tuple[Threshold
 
 
 def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
-    regime = _domination(th, t)
-    if regime is Domination.INTERIOR:
-        k = bisect_right(env.breaks, float(t)) - 1
+    tf = float(t)
+    lo, hi = th.inside
+    if lo <= tf <= hi:
+        k = bisect_right(env.breaks, tf) - 1
         param = env.params[k]
-        value = env.bases[k] + param.p / param.q * math.log(float(t))
-    elif regime is Domination.A0_DOMINATES:
+        value = env.bases[k] + param.p / param.q * math.log(tf)
+    elif tf < lo:
         param = RationalParameter(0, 1)
         value = math.log(float(spectral_radius(pair.A0.to_float())))
     else:
         param = RationalParameter(1, 1)
-        value = math.log(float(t)) + math.log(float(spectral_radius(pair.A1.to_float())))
+        value = math.log(tf) + math.log(float(spectral_radius(pair.A1.to_float())))
     return StaircaseSample(t=t, parameter=param, value=value, word=mechanical_word(param))
 
 
 def parameter_map(pair: MatrixPair, t: Number, max_den: int) -> StaircaseSample:
-    """Best Sturmian parameter at scale t, at denominator resolution max_den."""
+    """Best Sturmian parameter at float(t), regime included, at denominator cap max_den."""
     th, env = _validated(pair, max_den, t)
     return _sample(pair, th, env, t)
 
@@ -253,9 +254,7 @@ def parameter_bracket_of_coordinate(sys: InducedSystem, c: Number) -> ParameterB
 
 def _plateau(th: ThresholdPair, env: _Envelope, param: RationalParameter, max_den: int):
     """First and last float at which the parameter map reads an interior param."""
-    lo, hi = float(th.t0), float(th.t1)
-    lo = lo if lo > th.t0 else math.nextafter(lo, math.inf)
-    hi = hi if hi < th.t1 else math.nextafter(hi, 0.0)
+    lo, hi = th.inside
     if param in env.params:
         k = env.params.index(param)
         lo, hi = max(env.breaks[k], lo), min(math.nextafter(env.breaks[k + 1], 0.0), hi)
@@ -302,14 +301,15 @@ def counterexample_search(
     breakpoints, so it meets any tol.  Restricted plateaus contain true
     plateaus, so this outer bracket provably contains the preimage of the
     target, and it shrinks as the cap grows because finer neighbors with
-    larger denominators have narrower plateaus.  A rational target
-    representable at the cap degenerates to its own plateau.
+    larger denominators have narrower plateaus.  A rational target at the
+    cap gets its own plateau.  Both ends are clipped to ThresholdPair.inside.
     """
     if not (0 < float(target) < 1):
         raise DomainError(f"target must lie strictly inside (0, 1), got {target}")
     if not tol > 0:
         raise DomainError("tol must be positive")
     th, env = _validated(pair, max_den)
+    lo, hi = th.inside
     frac = target if isinstance(target, Fraction) else Fraction(float(target))
     p_lo, p_hi = farey_neighbors(frac, max_den)
 
@@ -319,7 +319,6 @@ def counterexample_search(
         bracket = ParameterBracket(param, param, param)
     else:
         # An ulp below the first line with slope >= p- to the last with slope <= p+.
-        lo, hi = float(th.t0), float(th.t1)
         left = env.breaks[bisect_left(env.params, p_lo, key=RationalParameter.as_fraction)]
         right = env.breaks[bisect_right(env.params, p_hi, key=RationalParameter.as_fraction)]
         t_lo = min(max(math.nextafter(left, 0.0), lo), hi)
@@ -330,5 +329,5 @@ def counterexample_search(
 
     t_mid = math.sqrt(t_lo * t_hi)
     return CounterexampleResult(
-        t=t_mid, bracket=bracket, t_lo=t_lo, t_hi=t_hi, interior=th.t0 < t_mid < th.t1
+        t=t_mid, bracket=bracket, t_lo=t_lo, t_hi=t_hi, interior=lo <= t_mid <= hi
     )

@@ -2,7 +2,8 @@
 
 A plan's calls, and so the calls that fail, are fixed by its seed.  A call
 that starts raising shows up here before a benchmark run counts it as a
-failed operation.
+failed operation.  Every call that returns goes through the benchmark's own
+output check, so a wrong output shows up here too.
 """
 
 import contextlib
@@ -49,14 +50,18 @@ def bench():
 @pytest.mark.parametrize("workload", sorted(RAISING))
 def test_raising_benchmark_calls_are_pinned(bench, tmp_path, workload):
     inputs, child = bench
-    raising = []
+    raising, problems = [], []
     for seed in SEEDS:
         plan_path = inputs["write_inputs"](workload, seed, tmp_path / str(seed))
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
         pairs = {name: sturmjsr.load_pair(path) for name, path in plan["pairs"].items()}
         for index, call in enumerate(plan["calls"]):
             try:
-                child["issue"](sturmjsr, pairs, plan, call, _NullTracer())
+                out = child["issue"](sturmjsr, pairs, plan, call, _NullTracer())
             except sturmjsr.SturmJsrError as exc:
                 raising.append((seed, index, type(exc).__name__))
+                continue
+            bad = child["check"](sturmjsr, pairs, plan, call, out)
+            problems.extend(f"seed {seed}, call {index}: {problem}" for problem in bad)
     assert raising == RAISING[workload]
+    assert problems == []

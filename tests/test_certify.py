@@ -7,6 +7,8 @@ import pytest
 
 from sturmjsr import (
     Domination,
+    Matrix2,
+    MatrixPair,
     Verdict,
     certify,
     d2_pair,
@@ -213,6 +215,18 @@ def test_gamma_of_t_monotone(reference_pair):
 def test_gamma_of_t_rejects_domination_scales(reference_pair):
     with pytest.raises(OutOfInteriorRange):
         gamma_of_t(induced_system(reference_pair, F(1, 4)))
+
+
+@pytest.mark.parametrize(
+    "t", [F(24, 77) + F(1, 10**30), F(61, 8) - F(1, 10**30)], ids=["above-t0", "below-t1"]
+)
+def test_sub_ulp_interior_scale_is_no_convergence(reference_pair, t):
+    # Interior under the exact rule, but the target reads float(t), a threshold.
+    assert thresholds(reference_pair).regime(t) is Domination.INTERIOR
+    with pytest.raises(NoConvergence, match="does not bracket"):
+        certify(reference_pair, t)
+    with pytest.raises(NoConvergence, match="does not bracket"):
+        gamma_of_t(induced_system(reference_pair, t))
 
 
 def test_brent_closed_form_roots():
@@ -441,3 +455,19 @@ def test_certificate_bits_are_pinned(reference_pair, symmetric_pair, case):
     rep = certify(pair, t, grid_size)
     values = (rep.c, rep.constant_value, rep.flatness, rep.exterior_margin)
     assert (tuple(v.hex() for v in values), rep.verdict) == PINNED_CERTIFICATES[case]
+
+
+DEFECT_B_PAIR = MatrixPair(
+    Matrix2(F(18, 19), F(27, 62), F(19, 32), F(1, 3)),
+    Matrix2(F(7, 2), F(17, 3), F(15, 13), F(43, 23)),
+)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+@pytest.mark.parametrize("s", [0.001, 0.2, 0.5, 0.8, 0.999])
+def test_grid_end_images_outside_the_unit_interval_are_clamped(kind, s):
+    # X1 is 1.4e-4 wide, so T's rounding at its ends lands about 1e-12 outside [0, 1].
+    pair = DEFECT_B_PAIR if kind == "exact" else DEFECT_B_PAIR.to_float()
+    th = thresholds(pair)
+    t = float(th.t0) ** (1 - s) * float(th.t1) ** s
+    assert certify(pair, t).verdict is Verdict.CERTIFIED

@@ -153,6 +153,16 @@ def test_certify_inconclusive_exits_3(pair_file, capsys):
     assert json.loads(out)["verdict"] == "Inconclusive"
 
 
+@pytest.mark.parametrize(
+    "t",
+    [Fraction(24, 77) + Fraction(1, 10**30), Fraction(61, 8) - Fraction(1, 10**30)],
+    ids=["above-t0", "below-t1"],
+)
+def test_certify_sub_ulp_interior_scale_exits_4(pair_file, capsys, t):
+    code, out, err = run(capsys, ["certify", pair_file, "--t", f"{t.numerator}/{t.denominator}"])
+    assert (code, out) == (4, "") and "does not bracket" in err
+
+
 def test_certify_class_failure_exits_2(tmp_path, capsys):
     not_c = {"A0": [[2, 1], [1, 1]], "A1": [[2, 1], [1, 1]]}
     c_not_d = {"A0": [["2/3", "1/4"], ["5/8", "1"]], "A1": [["1", "8/5"], ["1/6", "8/9"]]}
@@ -288,6 +298,7 @@ def test_bad_flag_values_exit_1(pair_file, capsys, argv):
         pytest.param(f'"1/{HUGE}"', id="exact-underflow"),
         # More digits than Python converts to an int.
         pytest.param("1" + "0" * 5000, id="integer-literal-over-digit-limit"),
+        pytest.param('"3/"', id="empty-denominator"),
     ],
 )
 def test_non_finite_pair_entries_rejected(tmp_path, capsys, literal):

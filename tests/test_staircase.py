@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import functools
 import hashlib
 import math
@@ -25,6 +26,7 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.dynamics import periodic_point_budget
+from sturmjsr.matrices import spectral_radius
 from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
 from sturmjsr.staircase import _sturmian_table, parameter_bracket_of_coordinate
 from sturmjsr.words import stern_brocot_words
@@ -35,6 +37,45 @@ from conftest import mp_periodic_point, random_positive_matrix, word_value_oracl
 def test_parameter_map_regimes(reference_pair):
     assert parameter_map(reference_pair, F(1, 4), 50).parameter == RationalParameter(0, 1)
     assert parameter_map(reference_pair, F(8), 50).parameter == RationalParameter(1, 1)
+
+
+@pytest.fixture(params=["reference", "d2", "float-reference"])
+def threshold_pair(request, reference_pair, symmetric_pair):
+    return {
+        "reference": reference_pair,
+        "d2": symmetric_pair,
+        "float-reference": reference_pair.to_float(),
+    }[request.param]
+
+
+def test_inside_is_the_exact_rule_on_floats(threshold_pair):
+    th = thresholds(threshold_pair)
+    lo, hi = th.inside
+    assert [f.name for f in dataclasses.fields(th)] == ["t0", "t1"]
+    assert th.regime(lo) is th.regime(hi) is Domination.INTERIOR
+    assert th.regime(math.nextafter(lo, 0.0)) is Domination.A0_DOMINATES
+    assert th.regime(math.nextafter(hi, math.inf)) is Domination.A1_DOMINATES
+
+
+def test_parameter_map_next_to_the_thresholds_follows_the_regime(threshold_pair):
+    th, fpair = thresholds(threshold_pair), threshold_pair.to_float()
+    log_r0 = math.log(spectral_radius(fpair.A0))
+    log_r1 = math.log(spectral_radius(fpair.A1))
+    seen = set()
+    for edge in (float(th.t0), float(th.t1)):
+        ts = [edge]
+        for _ in range(4):
+            ts = [math.nextafter(ts[0], 0.0), *ts, math.nextafter(ts[-1], math.inf)]
+        for t in ts:
+            regime = domination_check(threshold_pair, t)
+            sample = parameter_map(threshold_pair, t, 40)
+            seen.add(regime)
+            if regime is Domination.A0_DOMINATES:
+                assert (sample.parameter, sample.value) == (RationalParameter(0, 1), log_r0)
+            elif regime is Domination.A1_DOMINATES:
+                assert sample.parameter == RationalParameter(1, 1)
+                assert sample.value == math.log(t) + log_r1
+    assert seen == set(Domination)
 
 
 def test_parameter_map_plateau_midpoint(reference_pair):
@@ -229,6 +270,16 @@ def test_counterexample_rational_target_degenerates(reference_pair):
     plat = plateau_bounds(reference_pair, RationalParameter(1, 2), 1e-6, 50)
     assert abs(res.t_lo - float(plat.t_lo)) <= 1e-9
     assert abs(res.t_hi - float(plat.t_hi)) <= 1e-9
+
+
+def test_counterexample_ends_clipped_at_a_threshold_stay_inside(threshold_pair):
+    lo, hi = thresholds(threshold_pair).inside
+    below = counterexample_search(threshold_pair, 1e-3, 1e-6, 40)
+    above = counterexample_search(threshold_pair, 1 - 1e-3, 1e-6, 40)
+    assert below.bracket.lower == RationalParameter(0, 1)
+    assert above.bracket.upper == RationalParameter(1, 1)
+    assert (below.t_lo, above.t_hi) == (lo, hi)
+    assert below.interior and above.interior
 
 
 def test_counterexample_validates_target(reference_pair):
