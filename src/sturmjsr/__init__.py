@@ -10,8 +10,6 @@ map is a devil's staircase.
 
 from .certify import (
     CertificateReport,
-    Domination,
-    ThresholdPair,
     Verdict,
     certify,
     delta_extremal,
@@ -32,9 +30,11 @@ from .classify import (
     scale_pair,
 )
 from .dynamics import (
+    Domination,
     InducedSystem,
     Interval,
     SturmianIntervalSpec,
+    ThresholdPair,
     f_eval,
     induced_system,
     periodic_point,

@@ -1,4 +1,4 @@
-"""Transfer functions, scale thresholds, and numerical optimality certificates.
+"""Transfer functions, matching, and numerical optimality certificates.
 
 For the Sturmian interval with image coordinate c, the transfer function phi
 is the Lipschitz antiderivative, vanishing at 0, of the series
@@ -22,23 +22,19 @@ unless the caller gives another.
 
 The grid runs in floats with the bits of apply_T and f_eval on any pair,
 exact or float.  Mixed Fraction/float arithmetic rounds a subexpression
-free of x to float where it first meets x, and the grid pass rounds each
-such subexpression once per call at that same place:
+free of x to float where it first meets x, and InducedSystem.branch_floats
+rounds each such subexpression once, at that same place:
 
     T(x) = (float(b+d) x - float(b)) / (float(-alpha) x + float(a) - float(b))
     f(x) = log(float(det) / (float(-alpha) (x + float(sigma))))  [+ log float(t) on X1]
 
 Neither a reciprocal multiply nor a regrouping is allowed: both move bits.
 
-For the extremal intervals everything is closed-form:
-
-    phi_i(x)  = log((x + rho_i) / rho_i)
-    Delta_i   = log((1 + rho_i)(X1.lo + rho_i) / (rho_i (X0.hi + rho_i)))
-    t_i       = rho_i (a0 + rho_i (a0 + c0))
-                / ((1 + rho_i)(b1 + rho_i (b1 + d1)))
-
-and the scaled pair is dominated by A0 for t <= t0 and by t*A1 for t >= t1;
-in between, the matching coordinate c*(t) solves Delta(c) = log of the
+The thresholds t0 < t1, their regime rule and the float constants above
+belong to the induced system (see dynamics), computed once per system.  For
+the extremal intervals the transfer function is closed-form,
+phi_i(x) = log((x + rho_i) / rho_i), and so is Delta_i; between the
+thresholds, the matching coordinate c*(t) solves Delta(c) = log of the
 endpoint ratio (a0+c0)/((b1+d1) t), found by Brent's bracketed root finder
 (R. P. Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
 """
@@ -49,27 +45,23 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .dynamics import (
     MEMBER_TOL,
+    Domination,
     InducedSystem,
     Interval,
     SturmianIntervalSpec,
+    ThresholdPair,
     class_d_system,
-    f_prime_sup,
+    delta_extremal_ratio,
     induced_system,
     sturmian_interval_endpoints,
 )
-from .errors import (
-    ClosedFormMismatch,
-    DomainError,
-    NoConvergence,
-    OutOfInteriorRange,
-)
+from .errors import DomainError, NoConvergence, OutOfInteriorRange
 from .matrices import Entries, MatrixPair, _product
-from .scalar import Number, is_exact
+from .scalar import Number
 
 FLAT_TOL = 1e-6
 MARGIN_TOL = 1e-8
@@ -87,35 +79,6 @@ def _check_tail_tol(tail_tol: float) -> None:
 class Verdict(enum.Enum):
     CERTIFIED = "Certified"
     INCONCLUSIVE = "Inconclusive"
-
-
-class Domination(enum.Enum):
-    A0_DOMINATES = "A0Dominates"
-    A1_DOMINATES = "A1Dominates"
-    INTERIOR = "Interior"
-
-
-@dataclass(frozen=True)
-class ThresholdPair:
-    """Thresholds t0 < t1 and the one rule that splits the scales by them.
-
-    regime(t) is exact: t <= t0 and t >= t1 are domination, the rest interior.
-    inside is the rule on floats, computed once: the first and last float in it.
-    """
-
-    t0: Number
-    t1: Number
-
-    def regime(self, t: Number) -> Domination:
-        if t <= self.t0:
-            return Domination.A0_DOMINATES
-        return Domination.A1_DOMINATES if t >= self.t1 else Domination.INTERIOR
-
-    @cached_property
-    def inside(self) -> tuple[float, float]:
-        lo, hi = float(self.t0), float(self.t1)
-        lo = lo if lo > self.t0 else math.nextafter(lo, math.inf)
-        return lo, (hi if hi < self.t1 else math.nextafter(hi, 0.0))
 
 
 @dataclass(frozen=True)
@@ -145,37 +108,8 @@ def _moebius(m: Entries, x: float) -> float:
     return (p * x + q) / (r * x + s)
 
 
-def _branch_floats(sys: InducedSystem) -> list[tuple]:
-    """Float constants of both branches, read by the grid pass and the series sweep.
-
-    Branch i is (lo, hi, tau, alpha, sigma, bd, b, a, det, log_t): X_i widened
-    by MEMBER_TOL; the series factor tau = (a - b, b, alpha, b + d) of the
-    float entries; alpha and sigma of the projective data; b + d, b, a and
-    det A_i; log t on X1 and 0.0 on X0.  Each is one subexpression of
-    apply_T or f_eval that does not contain x, rounded once.
-    """
-    out = []
-    for i, (A, pr, X) in enumerate(
-        ((sys.pair.A0, sys.proj0, sys.X0), (sys.pair.A1, sys.proj1, sys.X1))
-    ):
-        a, b, cc, d = (float(v) for v in A.entries())
-        out.append((
-            float(X.lo) - MEMBER_TOL,
-            float(X.hi) + MEMBER_TOL,
-            (a - b, b, a + cc - b - d, b + d),
-            float(pr.alpha),
-            float(pr.sigma),
-            float(A.b + A.d),
-            float(A.b),
-            float(A.a),
-            float(A.det()),
-            math.log(float(sys.t)) if i else 0.0,
-        ))
-    return out
-
-
 def _grid_pass(
-    branches: list[tuple], xs: Sequence[float], gamma: Sequence[Interval]
+    sys: InducedSystem, xs: Sequence[float], gamma: Sequence[Interval]
 ) -> tuple[list[float], list[float], list[bool]]:
     """T(x), f(x) and membership in the intervals gamma for every float x in xs.
 
@@ -184,7 +118,7 @@ def _grid_pass(
     (see the module docstring for the rounding rule).
     """
     log = math.log
-    (lo0, hi0, *k0), (lo1, hi1, *k1) = branches
+    (lo0, hi0, *k0), (lo1, hi1, *k1) = sys.branch_floats
     bounds = [(float(g.lo) - MEMBER_TOL, float(g.hi) + MEMBER_TOL) for g in gamma]
     txs, fs, inside = [], [], []
     for x in xs:
@@ -202,11 +136,7 @@ def _grid_pass(
 
 
 def _phi_batch(
-    sys: InducedSystem,
-    c: Number,
-    zs: Sequence[float],
-    tail_tol: float = TAIL_TOL,
-    branches: list[tuple] | None = None,
+    sys: InducedSystem, c: Number, zs: Sequence[float], tail_tol: float = TAIL_TOL
 ) -> list[float]:
     """Transfer-function values at every z in zs, in one piece sweep.
 
@@ -215,10 +145,9 @@ def _phi_batch(
     n-th series term for a point z is the sum of f-endpoint differences over
     the pieces of tau^n([0, z]); f is taken up to a per-branch additive
     constant, which cancels in the differences.  The point loop reads each
-    piece flattened to (dom_hi, p, q, r, s, alpha, sigma) of its branch.
-    branches is _branch_floats(sys), built here when not given.  The sum
-    stops once the tail bound is below tail_tol, and SERIES_MAX_DEPTH terms
-    without that raise NoConvergence.
+    piece flattened to (dom_hi, p, q, r, s, alpha, sigma) of its branch,
+    read from sys.branch_floats.  The sum stops once the tail bound is below
+    tail_tol, and SERIES_MAX_DEPTH terms without that raise NoConvergence.
     """
     _check_tail_tol(tail_tol)
     cf = float(c)
@@ -227,11 +156,8 @@ def _phi_batch(
     for z in zs:
         if not -MEMBER_TOL <= z <= 1 + MEMBER_TOL:
             raise DomainError(f"z = {z} outside [0, 1]")
-    if branches is None:
-        branches = _branch_floats(sys)
+    branches, sup_fp = sys.branch_floats, sys.f_prime_sup
     log = math.log
-
-    sup_fp = f_prime_sup(sys)
 
     pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 1.0)]
     phi = [0.0] * len(zs)
@@ -302,12 +228,6 @@ def phi_series(sys: InducedSystem, c: Number, z: Number, tail_tol: float = TAIL_
     return _phi_batch(sys, c, [float(z)], tail_tol)[0]
 
 
-def delta_extremal_ratio(sys: InducedSystem, i: int) -> Number:
-    """The ratio inside the log of the extremal matching functional, exact-friendly."""
-    rho = sys.proj0.rho if i == 0 else sys.proj1.rho
-    return ((1 + rho) * (sys.X1.lo + rho)) / (rho * (sys.X0.hi + rho))
-
-
 def delta_extremal(sys: InducedSystem, i: int) -> float:
     """Matching functional of the extremal interval X_i, in log scale."""
     if i not in (0, 1):
@@ -324,39 +244,12 @@ def delta_numeric(sys: InducedSystem, c: Number, tail_tol: float = TAIL_TOL) -> 
 
 def thresholds(pair: MatrixPair) -> ThresholdPair:
     """Closed-form scale thresholds t0 < t1 of the domination regimes."""
-    return _thresholds(induced_system(pair))
-
-
-def _thresholds(sys: InducedSystem) -> ThresholdPair:
-    """The thresholds of the system's pair.
-
-    Both closed forms (direct rational function of rho, and endpoint ratio
-    divided by the exponential of the matching functional) are computed and
-    must agree; the direct form is returned and stays exact on the rational
-    path whenever the discriminant square roots are rational.
-    """
-    a0, c0 = sys.pair.A0.a, sys.pair.A0.c
-    b1, d1 = sys.pair.A1.b, sys.pair.A1.d
-    out = []
-    for i in (0, 1):
-        rho = sys.proj0.rho if i == 0 else sys.proj1.rho
-        ti = (rho * (a0 + rho * (a0 + c0))) / ((1 + rho) * (b1 + rho * (b1 + d1)))
-        alt = (a0 + c0) / ((b1 + d1) * delta_extremal_ratio(sys, i))
-        if is_exact(ti, alt):
-            if ti != alt:
-                raise ClosedFormMismatch(f"threshold closed forms differ exactly: {ti} vs {alt}")
-        elif not math.isclose(float(ti), float(alt), rel_tol=1e-12):
-            raise ClosedFormMismatch(f"threshold closed forms differ: {ti} vs {alt}")
-        out.append(ti)
-    t0, t1 = out
-    if not float(t0) < float(t1):
-        raise ClosedFormMismatch(f"thresholds out of order: t0 = {t0}, t1 = {t1}")
-    return ThresholdPair(t0=t0, t1=t1)
+    return induced_system(pair).thresholds
 
 
 def domination_check(pair: MatrixPair, t: Number) -> Domination:
     """Which regime the scale t falls in; boundaries count as domination."""
-    return _thresholds(induced_system(pair, t)).regime(t)
+    return induced_system(pair, t).thresholds.regime(t)
 
 
 def endpoint_ratio_log(pair: MatrixPair, t: Number) -> float:
@@ -434,7 +327,7 @@ def gamma_of_t(sys: InducedSystem, tail_tol: float = TAIL_TOL) -> float:
     outside the bracket: NoConvergence.  Each Delta sums the series to
     tail_tol; the residual checked against 1e-9 is the solver's last value.
     """
-    th = _thresholds(sys)
+    th = sys.thresholds
     if th.regime(sys.t) is not Domination.INTERIOR:
         raise OutOfInteriorRange(f"t = {sys.t} outside ({th.t0}, {th.t1})")
     target = endpoint_ratio_log(sys.pair, sys.t)
@@ -475,15 +368,14 @@ def certify(
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
     sys = class_d_system(pair, t)
-    regime = _thresholds(sys).regime(t)
+    regime = sys.thresholds.regime(t)
 
     interior = regime is Domination.INTERIOR
-    branches = _branch_floats(sys)
     if interior:
         c_star = gamma_of_t(sys, tail_tol)
         # T maps each X_i onto [0, 1], but rounding at the grid ends can step outside.
         clamp = lambda zs: [min(max(z, 0.0), 1.0) for z in zs]  # noqa: E731
-        phi = lambda zs: _phi_batch(sys, c_star, clamp(zs), tail_tol, branches)  # noqa: E731
+        phi = lambda zs: _phi_batch(sys, c_star, clamp(zs), tail_tol)  # noqa: E731
     else:
         c_star = 0.0 if regime is Domination.A0_DOMINATES else 1.0
         # phi_extremal's bits: a float z meets a Fraction rho as float(rho).
@@ -494,7 +386,7 @@ def certify(
     xs = sys.X0.grid(n0) + sys.X1.grid(n0)
     spec = sturmian_interval_endpoints(sys, c_star)
     pieces = [piece for piece in (spec.piece0, spec.piece1) if piece is not None]
-    txs, f_vals, in_gamma = _grid_pass(branches, xs, pieces)
+    txs, f_vals, in_gamma = _grid_pass(sys, xs, pieces)
     phis = phi(xs + txs)
     phi_x, phi_tx = phis[: len(xs)], phis[len(xs) :]
     g_vals = [f + px - ptx for f, px, ptx in zip(f_vals, phi_x, phi_tx)]

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import DomainError, InconsistentEquivalences, NonPositiveScale
 from .matrices import Matrix2, MatrixPair, ProjectiveData, gamma_squared, projective_data
-from .scalar import Number, cmp_affine_surd, is_exact, sign
+from .scalar import Number, check_scale, cmp_affine_surd, is_exact, sign
 
 
 class MatrixConvexity(enum.Enum):
@@ -205,6 +205,5 @@ def d2_pair(b: Number, c: Number) -> MatrixPair:
 
 def scale_pair(pair: MatrixPair, t: Number) -> MatrixPair:
     """The scaled pair (A0, t*A1)."""
-    if not t > 0:
-        raise NonPositiveScale(f"t must be positive, got {t}")
+    check_scale(t)
     return MatrixPair(pair.A0, pair.A1.scaled(t))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import classify as cls
 from . import jsr as jsrmod
 from . import staircase as st
-from .certify import TAIL_TOL, Verdict, _thresholds, certify
+from .certify import TAIL_TOL, Verdict, certify
 from .dynamics import Interval, _system_of_report
 from .errors import (
     NoConvergence,
@@ -106,7 +106,7 @@ def cmd_classify(args) -> int:
         "A0": cls.classify_matrix(pair.A0),
         "A1": cls.classify_matrix(pair.A1),
         "pair": report,
-        "thresholds": _thresholds(_system_of_report(pair, report, 1)) if report.in_C else None,
+        "thresholds": _system_of_report(pair, report, 1).thresholds if report.in_C else None,
     }
     _emit(out)
     return 0

@@ -17,18 +17,29 @@ the interval with coordinate c is [T_{A0}(c), T_{A0}(1)] u [T_{A1}(0),
 T_{A1}(c)], and its hybrid contraction applies the symbol-1 branch left of c
 and the symbol-0 branch from c on.
 
+The system owns what it derives from its pair and scale, once per system:
+the float branch constants that the certificate reads, and the thresholds
+
+    t_i = rho_i (a0 + rho_i (a0 + c0)) / ((1 + rho_i)(b1 + rho_i (b1 + d1)))
+        = ((a0 + c0) / (b1 + d1)) exp(-Delta_i),
+
+Delta_i the matching functional of the extremal interval X_i; the scaled
+pair is dominated by A0 for t <= t0 and by t*A1 for t >= t1.
+
 T_A and S_A are Matrix2.moebius and moebius_inverse.  class_d_system is the
 one check of the Sturmian class D, shared by every call that needs it.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .classify import PairClassReport, pair_report
-from .errors import DomainError, EmptyWord, NonPositiveScale, NotInClassC, NotInClassD
+from .errors import ClosedFormMismatch, DomainError, EmptyWord, NotInClassC, NotInClassD
 from .matrices import (
     Matrix2,
     MatrixPair,
@@ -36,7 +47,7 @@ from .matrices import (
     fixed_point,
     word_product,
 )
-from .scalar import Number
+from .scalar import Number, check_scale, is_exact
 
 # Interval membership on the float path inflates endpoints by this much so
 # endpoint orbits classify stably.
@@ -64,9 +75,41 @@ class Interval:
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+class Domination(enum.Enum):
+    A0_DOMINATES = "A0Dominates"
+    A1_DOMINATES = "A1Dominates"
+    INTERIOR = "Interior"
+
+
+@dataclass(frozen=True)
+class ThresholdPair:
+    """Thresholds t0 < t1 and the one rule that splits the scales by them.
+
+    regime(t) is exact: t <= t0 and t >= t1 are domination, the rest interior.
+    inside is the rule on floats, computed once: the first and last float in it.
+    """
+
+    t0: Number
+    t1: Number
+
+    def regime(self, t: Number) -> Domination:
+        if t <= self.t0:
+            return Domination.A0_DOMINATES
+        return Domination.A1_DOMINATES if t >= self.t1 else Domination.INTERIOR
+
+    @cached_property
+    def inside(self) -> tuple[float, float]:
+        lo, hi = float(self.t0), float(self.t1)
+        lo = lo if lo > self.t0 else math.nextafter(lo, math.inf)
+        return lo, (hi if hi < self.t1 else math.nextafter(hi, 0.0))
+
+
 @dataclass(frozen=True)
 class InducedSystem:
-    """A concave-convex pair with its scale, branch images, projective data, and class report."""
+    """A concave-convex pair with its scale, branch images, projective data, and class report.
+
+    The cached properties are computed once per system and are not fields.
+    """
 
     pair: MatrixPair
     t: Number
@@ -77,8 +120,72 @@ class InducedSystem:
     report: PairClassReport
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise NonPositiveScale(f"t must be positive, got {self.t}")
+        check_scale(self.t)
+
+    @cached_property
+    def thresholds(self) -> ThresholdPair:
+        """The thresholds of the pair, the same at every scale.
+
+        Both closed forms (direct rational function of rho, and endpoint ratio
+        divided by the exponential of the matching functional) are computed and
+        must agree; the direct form is returned and stays exact on the rational
+        path whenever the discriminant square roots are rational.
+        """
+        a0, c0 = self.pair.A0.a, self.pair.A0.c
+        b1, d1 = self.pair.A1.b, self.pair.A1.d
+        out = []
+        for i, rho in enumerate((self.proj0.rho, self.proj1.rho)):
+            ti = (rho * (a0 + rho * (a0 + c0))) / ((1 + rho) * (b1 + rho * (b1 + d1)))
+            alt = (a0 + c0) / ((b1 + d1) * delta_extremal_ratio(self, i))
+            if is_exact(ti, alt) and ti != alt:
+                raise ClosedFormMismatch(f"threshold closed forms differ exactly: {ti} vs {alt}")
+            if not is_exact(ti, alt) and not math.isclose(float(ti), float(alt), rel_tol=1e-12):
+                raise ClosedFormMismatch(f"threshold closed forms differ: {ti} vs {alt}")
+            out.append(ti)
+        t0, t1 = out
+        if not float(t0) < float(t1):
+            raise ClosedFormMismatch(f"thresholds out of order: t0 = {t0}, t1 = {t1}")
+        return ThresholdPair(t0=t0, t1=t1)
+
+    @cached_property
+    def branch_floats(self) -> tuple[tuple, tuple]:
+        """Float constants of both branches, read by the grid pass and the series sweep.
+
+        Branch i is (lo, hi, tau, alpha, sigma, bd, b, a, det, log_t): X_i widened
+        by MEMBER_TOL; the series factor tau = (a - b, b, alpha, b + d) of the
+        float entries; alpha and sigma of the projective data; b + d, b, a and
+        det A_i; log t on X1 and 0.0 on X0.  Each is one subexpression of
+        apply_T or f_eval that does not contain x, rounded once.
+        """
+        out = []
+        for i, (A, pr, X) in enumerate(
+            ((self.pair.A0, self.proj0, self.X0), (self.pair.A1, self.proj1, self.X1))
+        ):
+            a, b, cc, d = (float(v) for v in A.entries())
+            out.append((
+                float(X.lo) - MEMBER_TOL,
+                float(X.hi) + MEMBER_TOL,
+                (a - b, b, a + cc - b - d, b + d),
+                float(pr.alpha),
+                float(pr.sigma),
+                float(A.b + A.d),
+                float(A.b),
+                float(A.a),
+                float(A.det()),
+                math.log(float(self.t)) if i else 0.0,
+            ))
+        return tuple(out)
+
+    @cached_property
+    def f_prime_sup(self) -> float:
+        """Supremum of |f'| = 1/|x + sigma_i| over the branch intervals.
+
+        On X0 the factor x + sigma0 is negative and closest to zero at the right
+        endpoint; on X1 it is positive and smallest at the left endpoint.
+        """
+        s0 = abs(float(self.X0.hi + self.proj0.sigma))
+        s1 = abs(float(self.X1.lo + self.proj1.sigma))
+        return max(1.0 / s0, 1.0 / s1)
 
 
 @dataclass(frozen=True)
@@ -92,6 +199,12 @@ class SturmianIntervalSpec:
     c: Number
     piece0: Optional[Interval]
     piece1: Optional[Interval]
+
+
+def delta_extremal_ratio(sys: InducedSystem, i: int) -> Number:
+    """The ratio inside the log of the extremal matching functional, exact-friendly."""
+    rho = sys.proj0.rho if i == 0 else sys.proj1.rho
+    return ((1 + rho) * (sys.X1.lo + rho)) / (rho * (sys.X0.hi + rho))
 
 
 def induced_image(A: Matrix2) -> Interval:
@@ -158,17 +271,6 @@ def f_eval(sys: InducedSystem, x: Number) -> float:
     if i == 1:
         val += math.log(float(sys.t))
     return val
-
-
-def f_prime_sup(sys: InducedSystem) -> float:
-    """Supremum of |f'| = 1/|x + sigma_i| over the branch intervals.
-
-    On X0 the factor x + sigma0 is negative and closest to zero at the right
-    endpoint; on X1 it is positive and smallest at the left endpoint.
-    """
-    s0 = abs(float(sys.X0.hi + sys.proj0.sigma))
-    s1 = abs(float(sys.X1.lo + sys.proj1.sigma))
-    return max(1.0 / s0, 1.0 / s1)
 
 
 def apply_T(sys: InducedSystem, x: Number) -> Number:

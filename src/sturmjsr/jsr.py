@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynamics import InducedSystem, class_d_system, f_eval, induced_system, periodic_orbit
-from .errors import DomainError, EmptyWord, NonPositiveMatrix, NonPositiveScale
+from .errors import DomainError, EmptyWord, NonPositiveMatrix
 from .matrices import MatrixPair, _walk, word_value, word_values
-from .scalar import Number
+from .scalar import Number, check_scale
 from .words import RationalParameter, is_balanced, mechanical_word, stern_brocot_words
 
 VALUE_TIE_TOL = 1e-12
@@ -85,8 +85,7 @@ def _duval_steps(words: Iterator[str]) -> Iterator[tuple[int, str]]:
 def _check_bruteforce_args(pair: MatrixPair, t: Number, max_len: int) -> None:
     if not (pair.A0.is_positive() and pair.A1.is_positive()):
         raise NonPositiveMatrix("brute force needs positive entries")
-    if not t > 0:
-        raise NonPositiveScale(f"t must be positive, got {t}")
+    check_scale(t)
     if max_len < 1:
         raise EmptyWord("max_len must be at least 1")
 
@@ -155,18 +154,28 @@ def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
     with A0 or t*A1.  A vector off the upper-right convex hull of its level
     never maximizes a positive functional, and right extensions only apply
     positive functionals, so each level keeps just those hull vertices, with
-    one common log scale per level.
+    one common log scale per level.  Only the first level is not scaled, and
+    where its products overflow it is scaled by a power of two, exactly.
     """
     _check_bruteforce_args(pair, t, max_len)
     gens = (pair.A0.to_float(), pair.A1.to_float().scaled(float(t)))
     level = _upper_right_hull([(A.a + A.c, A.b + A.d) for A in gens])
+
+    def grow():  # the row vectors of the next level
+        return [(x * A.a + y * A.c, x * A.b + y * A.d) for x, y in level for A in gens]
+
     log_scale = 0.0
     best = math.inf
     for n in range(1, max_len + 1):
         best = min(best, (math.log(max(x + y for x, y in level)) + log_scale) / n)
         if n < max_len:
-            nxt = [(x * A.a + y * A.c, x * A.b + y * A.d) for x, y in level for A in gens]
+            nxt = grow()
             m = max(max(v) for v in nxt)
+            if m == math.inf:  # only the unscaled first level can overflow
+                k = math.frexp(max(max(v) for v in level))[1]
+                level = [(math.ldexp(x, -k), math.ldexp(y, -k)) for x, y in level]
+                nxt, log_scale = grow(), k * math.log(2)
+                m = max(max(v) for v in nxt)
             r = 1.0 / m
             level = _upper_right_hull([(x * r, y * r) for x, y in nxt])
             log_scale += math.log(m)

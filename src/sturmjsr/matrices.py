@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError, EmptyWord, NonPositiveMatrix, NonPositiveScale
-from .scalar import Number, is_exact, sqrt_number
+from .errors import DomainError, EmptyWord, NonPositiveMatrix
+from .scalar import Number, check_scale, is_exact, sqrt_number
 
 
 @dataclass(frozen=True)
@@ -335,8 +335,7 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
         raise EmptyWord("word product needs a non-empty word")
     if not set(word) <= {"0", "1"}:
         raise DomainError(f"word must be over {{0,1}}: {word!r}")
-    if not t > 0:
-        raise NonPositiveScale(f"t must be positive, got {t}")
+    check_scale(t)
 
     if pair.is_exact() and is_exact(t):
         factors = {"0": pair.A0, "1": pair.A1.scaled(Fraction(t))}

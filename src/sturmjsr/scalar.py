@@ -4,7 +4,7 @@ Scalars are plain Python numbers: ``int`` and ``Fraction`` form the exact
 path (bit-identical across runs), ``float`` the approximate one.  Arithmetic
 on mixed inputs falls through to floats automatically; the helpers here
 supply the pieces that need care, namely square roots, exact sign decisions
-on expressions containing one square root, and parsing.
+on expressions containing one square root, the scale check, and parsing.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
+
+from .errors import DomainError, NonPositiveScale
 
 Number = Union[int, float, Fraction]
 
@@ -44,6 +46,14 @@ def sqrt_number(x: Number) -> Number:
     if root is not None:
         return root
     return math.sqrt(x)
+
+
+def check_scale(t: Number) -> None:
+    """A scale is positive and finite: NonPositiveScale for t <= 0 or NaN, DomainError for inf."""
+    if not t > 0:
+        raise NonPositiveScale(f"t must be positive, got {t}")
+    if t == math.inf:
+        raise DomainError(f"t must be finite, got {t}")
 
 
 def sign(x: Number) -> int:

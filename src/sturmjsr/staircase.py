@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import ThresholdPair, _thresholds
-from .dynamics import InducedSystem, class_d_system, periodic_point_budget
+from .dynamics import InducedSystem, ThresholdPair, class_d_system, periodic_point_budget
 from .errors import DomainError, NonPositiveScale, PlateauNotFound
 from .matrices import (
     Matrix2,
@@ -151,7 +150,7 @@ def _validated(pair: MatrixPair, max_den: int, t: Number = 1) -> tuple[Threshold
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
     entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
-    return _thresholds(sys), _envelope(entries, max_den)
+    return sys.thresholds, _envelope(entries, max_den)
 
 
 def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:

@@ -25,7 +25,6 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.certify import (
-    _branch_floats,
     _brent,
     _grid_pass,
     _phi_batch,
@@ -392,7 +391,7 @@ def test_grid_pass_matches_apply_T_and_f_eval(reference_pair, symmetric_pair, gr
             xs = sys.X0.grid(n0) + sys.X1.grid(n0)
             spec = sturmian_interval_endpoints(sys, 0.37)
             gamma = [spec.piece0, spec.piece1]
-            txs, fs, inside = _grid_pass(_branch_floats(sys), xs, gamma)
+            txs, fs, inside = _grid_pass(sys, xs, gamma)
             for x, tx, fx, ok in zip(xs, txs, fs, inside):
                 assert tx.hex() == float(apply_T(sys, x)).hex(), (pair, t, x)
                 assert fx.hex() == f_eval(sys, x).hex(), (pair, t, x)
@@ -402,7 +401,7 @@ def test_grid_pass_matches_apply_T_and_f_eval(reference_pair, symmetric_pair, gr
 def test_grid_pass_rejects_a_point_in_the_gap(reference_system):
     gap = float(reference_system.X0.hi + reference_system.X1.lo) / 2
     with pytest.raises(DomainError):
-        _grid_pass(_branch_floats(reference_system), [gap], [])
+        _grid_pass(reference_system, [gap], [])
 
 
 # float.hex of c, constant_value, flatness and exterior_margin, and the verdict.

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmjsr import (
+    InducedSystem,
     Matrix2,
     MatrixPair,
     MatrixConvexity,
@@ -22,6 +24,8 @@ from sturmjsr import (
     counterexample_search,
     d2_pair,
     domination_check,
+    jsr_lower_bruteforce,
+    jsr_upper_norm,
     pair_report,
     parameter_map,
     plateau_bounds,
@@ -30,7 +34,9 @@ from sturmjsr import (
     spectral_radius,
     staircase_scan,
     sturmian_restricted_max,
+    sturmian_value,
     thresholds,
+    word_product,
 )
 from sturmjsr.cli import main
 from sturmjsr.errors import DomainError, NonPositiveMatrix, NonPositiveScale
@@ -412,6 +418,61 @@ def test_public_call_computes_each_members_projective_data_once(
     calls = _count_calls(monkeypatch, projective_data)
     call(reference_pair)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS + [pytest.param(_classify_cli, id="cli-classify")])
+def test_public_call_derives_the_thresholds_and_branch_constants_once(
+    reference_pair, monkeypatch, request, call
+):
+    # The induced system caches both.  Every call but the restricted maximum
+    # reads the thresholds; certify reads the branch constants, and the
+    # interior series also the bound on f'.
+    counts = {
+        name: _count_computations(monkeypatch, InducedSystem, name)
+        for name in ("thresholds", "branch_floats", "f_prime_sup")
+    }
+    call(reference_pair)
+    assert len(counts["thresholds"]) == int("restricted" not in request.node.callspec.id)
+    assert len(counts["branch_floats"]) <= 1 and len(counts["f_prime_sup"]) <= 1
+
+
+def _count_computations(monkeypatch, cls, name):
+    """Count the computations of the cached property name of cls."""
+    calls = []
+    compute = vars(cls)[name].func
+
+    def counting(self):
+        calls.append(self)
+        return compute(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+SCALED_CALLS = [
+    pytest.param(lambda pair, t: certify(pair, t), id="certify"),
+    pytest.param(lambda pair, t: parameter_map(pair, t, 20), id="parameter_map"),
+    pytest.param(lambda pair, t: domination_check(pair, t), id="domination_check"),
+    pytest.param(lambda pair, t: jsr_lower_bruteforce(pair, t, 4), id="jsr_lower_bruteforce"),
+    pytest.param(lambda pair, t: jsr_upper_norm(pair, t, 4), id="jsr_upper_norm"),
+    pytest.param(
+        lambda pair, t: sturmian_value(pair, t, RationalParameter(1, 2)), id="sturmian_value"
+    ),
+    pytest.param(lambda pair, t: word_product(pair, t, "01"), id="word_product"),
+    pytest.param(lambda pair, t: scale_pair(pair, t), id="scale_pair"),
+]
+
+
+@pytest.mark.parametrize("call", SCALED_CALLS)
+def test_an_infinite_scale_is_a_domain_error(reference_pair, call):
+    # Read as a number, inf gives wrong answers: a lower bound of inf, a nan
+    # flatness, the parameter 1/1 with value inf.
+    with pytest.raises(DomainError, match="finite"):
+        call(reference_pair, math.inf)
+    with pytest.raises(NonPositiveScale):
+        call(reference_pair, math.nan)
 
 
 def _count_calls(monkeypatch, original):

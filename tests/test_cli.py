@@ -75,6 +75,13 @@ def test_jsr_command(pair_file, capsys):
     assert doc["upper"] is not None and doc["upper"] >= doc["lower"]
 
 
+def test_jsr_upper_bound_at_a_large_scale(pair_file, capsys):
+    code, out, _ = run(capsys, ["jsr", pair_file, "--t", "1e200", "--max-len", "4", "--upper"])
+    assert code == 0
+    doc = json.loads(out)
+    assert math.isfinite(doc["upper"]) and doc["lower"] <= doc["upper"]
+
+
 def test_jsr_invalid_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")

@@ -205,6 +205,19 @@ def test_bracket_property(entries, t, max_len):
     assert len(w) <= max_len and _is_primitive(w) and w == _necklace_min(w)
 
 
+@pytest.mark.parametrize("t", [1e154, 1e200, 1e300])
+def test_upper_norm_at_large_scales(reference_pair, t):
+    # Products of the unscaled first level overflow at these scales.  Scaling
+    # A0 and t by 2^-k shifts the bound by k log 2.
+    est = jsr_lower_bruteforce(reference_pair, t, 10)
+    assert math.isfinite(est.lower) and math.isfinite(est.upper)
+    assert est.lower <= est.upper
+    k = math.frexp(t)[1]
+    small = MatrixPair(reference_pair.A0.to_float().scaled(2.0**-k), reference_pair.A1)
+    want = jsr_upper_norm(small, math.ldexp(t, -k), 10) + k * math.log(2)
+    assert abs(est.upper - want) <= 1e-14 * want
+
+
 def test_upper_norm_rejects_signed_entries():
     signed = MatrixPair(Matrix2(1, -0.5, 0.3, 1), Matrix2(1, 0.2, 0.1, 0.9))
     with pytest.raises(NonPositiveMatrix):

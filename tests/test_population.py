@@ -11,9 +11,17 @@ read at the scales t0^(1-s) t1^s, and three routes must agree there:
   the staircase parameter at cap 30.
 
 A call may raise only NoConvergence (ROADMAP item 13); the raising calls are
-pinned below by (pair index, s).
+pinned below by (pair index, s).  At t = 1 the ergodic average of the
+induced function along a mechanical word's periodic orbit must equal the
+word product's value.
+
+The d2 pairs ((1,b;c,1),(1,c;b,1)) are swapped by conjugating with the
+flip, so (A0, A1/t) is (A0, t*A1) mirrored and scaled by 1/t: t0 t1 = 1,
+the parameter at 1/t is 1 minus that at t, and the value drops by log t.
+They are drawn with b = i/64, c = j/64 and bc < 1 < c.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -22,22 +30,32 @@ import pytest
 from sturmjsr import (
     Matrix2,
     MatrixPair,
+    RationalParameter,
     Verdict,
     certify,
+    d2_pair,
+    ergodic_average_f,
     induced_system,
     jsr_lower_bruteforce,
+    mechanical_word,
     pair_report,
     parameter_bracket_of_coordinate,
     parameter_map,
     thresholds,
 )
 from sturmjsr.errors import NoConvergence
+from sturmjsr.matrices import word_value
 
 SEED = 12
 COUNT = 40
 SCALES = (0.2, 0.5, 0.8)
 MAX_LEN = 12
 CAP = 30
+ERGODIC_PARAMETERS = ((0, 1), (1, 1), (1, 2), (1, 3), (2, 5), (3, 7), (5, 12))
+D2_SEED = 30
+D2_COUNT = 20
+D2_SCALES = (0.2, 0.35, 0.5, 0.65, 0.8)
+D2_CAP = 40
 
 # (pair index, s) of every population call that raises NoConvergence.
 RAISING = []
@@ -121,6 +139,37 @@ def test_descent_bracket_of_c_star_contains_the_staircase_parameter(routes):
     for key, (_, _, sample, bracket) in routes[0].items():
         p = sample.parameter.as_fraction()
         assert bracket.lower.as_fraction() <= p <= bracket.upper.as_fraction(), key
+
+
+def test_ergodic_average_matches_the_word_product(population):
+    for i, pair in enumerate(population):
+        sys = induced_system(pair, 1)
+        for p, q in ERGODIC_PARAMETERS:
+            word = mechanical_word(RationalParameter(p, q))
+            want = word_value(pair.to_float(), 1.0, word)
+            assert abs(ergodic_average_f(sys, word) - want) <= 1e-12, (i, p, q)
+
+
+def d2_draws(seed, count):
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        b, c = F(rng.randint(1, 64), 64), F(rng.randint(65, 256), 64)
+        if b * c < 1 and (b, c) not in draws:
+            draws.append((b, c))
+    return draws
+
+
+def test_d2_pairs_are_symmetric_under_t_to_one_over_t():
+    for b, c in d2_draws(D2_SEED, D2_COUNT):
+        pair = d2_pair(b, c)
+        th = thresholds(pair)
+        assert abs(float(th.t0) * float(th.t1) - 1) <= 1e-14, (b, c)
+        for s in D2_SCALES:
+            t = float(th.t0) ** (1 - s) * float(th.t1) ** s
+            at_t, at_inverse = parameter_map(pair, t, D2_CAP), parameter_map(pair, 1 / t, D2_CAP)
+            assert at_inverse.parameter.as_fraction() == 1 - at_t.parameter.as_fraction(), (b, c, s)
+            assert abs(at_inverse.value - (at_t.value - math.log(t))) <= 1e-14, (b, c, s)
 
 
 @pytest.mark.xfail(
