@@ -31,7 +31,7 @@ rounds each such subexpression once, at that same place:
 Neither a reciprocal multiply nor a regrouping is allowed: both move bits.
 
 The thresholds t0 < t1, their regime rule and the float constants above
-belong to the induced system (see dynamics), computed once per system.  For
+belong to the induced system (see dynamics), computed once per pair.  For
 the extremal intervals the transfer function is closed-form,
 phi_i(x) = log((x + rho_i) / rho_i), and so is Delta_i; between the
 thresholds, the matching coordinate c*(t) solves Delta(c) = log of the
@@ -119,6 +119,8 @@ def _grid_pass(
     """
     log = math.log
     (lo0, hi0, *k0), (lo1, hi1, *k1) = sys.branch_floats
+    k0.append(0.0)
+    k1.append(log(float(sys.t)))
     bounds = [(float(g.lo) - MEMBER_TOL, float(g.hi) + MEMBER_TOL) for g in gamma]
     txs, fs, inside = [], [], []
     for x in xs:

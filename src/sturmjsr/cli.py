@@ -19,7 +19,7 @@ from . import classify as cls
 from . import jsr as jsrmod
 from . import staircase as st
 from .certify import TAIL_TOL, Verdict, certify
-from .dynamics import Interval, _system_of_report
+from .dynamics import Interval, classified
 from .errors import (
     NoConvergence,
     NotInClassC,
@@ -101,12 +101,12 @@ def cmd_classify(args) -> int:
     except PairFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CLASS_EXIT
-    report = cls.pair_report(pair)
+    report, unit = classified(pair)
     out = {
         "A0": cls.classify_matrix(pair.A0),
         "A1": cls.classify_matrix(pair.A1),
         "pair": report,
-        "thresholds": _system_of_report(pair, report, 1).thresholds if report.in_C else None,
+        "thresholds": unit.thresholds if unit else None,
     }
     _emit(out)
     return 0

@@ -17,14 +17,21 @@ the interval with coordinate c is [T_{A0}(c), T_{A0}(1)] u [T_{A1}(0),
 T_{A1}(c)], and its hybrid contraction applies the symbol-1 branch left of c
 and the symbol-0 branch from c on.
 
-The system owns what it derives from its pair and scale, once per system:
-the float branch constants that the certificate reads, and the thresholds
+The system owns what it derives from its pair, once per pair: the float
+branch constants that the certificate reads, and the thresholds
 
     t_i = rho_i (a0 + rho_i (a0 + c0)) / ((1 + rho_i)(b1 + rho_i (b1 + d1)))
         = ((a0 + c0) / (b1 + d1)) exp(-Delta_i),
 
 Delta_i the matching functional of the extremal interval X_i; the scaled
 pair is dominated by A0 for t <= t0 and by t*A1 for t >= t1.
+
+None of this depends on t, so each pair is classified once per process: a
+bounded cache keeps the t = 1 system of the last PAIR_CACHE_SIZE pairs, keyed
+on the type and value of each entry (Fraction(1, 2) == 0.5 and 1 ==
+Fraction(1), but their systems differ), and induced_system and
+class_d_system return that system at the caller's scale.  A call that
+raises leaves nothing in the cache.
 
 T_A and S_A are Matrix2.moebius and moebius_inverse.  class_d_system is the
 one check of the Sturmian class D, shared by every call that needs it.
@@ -34,8 +41,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache, wraps
 from typing import Optional
 
 from .classify import PairClassReport, pair_report
@@ -52,6 +59,8 @@ from .scalar import Number, check_scale, is_exact
 # Interval membership on the float path inflates endpoints by this much so
 # endpoint orbits classify stably.
 MEMBER_TOL = 1e-12
+# Pairs whose class report and t = 1 system the process keeps.
+PAIR_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -104,11 +113,30 @@ class ThresholdPair:
         return lo, (hi if hi < self.t1 else math.nextafter(hi, 0.0))
 
 
+def _per_pair(compute):
+    """A property computed on first read and kept in the memo of the system.
+
+    dataclasses.replace hands the memo on, so every scale of a pair shares
+    one value.  A computation that raises stores nothing and raises again on
+    the next read.
+    """
+    name = compute.__name__
+
+    @wraps(compute)
+    def read(self):
+        if name not in self.memo:
+            self.memo[name] = compute(self)
+        return self.memo[name]
+
+    return property(read)
+
+
 @dataclass(frozen=True)
 class InducedSystem:
     """A concave-convex pair with its scale, branch images, projective data, and class report.
 
-    The cached properties are computed once per system and are not fields.
+    The properties below do not depend on t: they are computed once per pair
+    and kept in memo, which is not compared or shown.
     """
 
     pair: MatrixPair
@@ -118,11 +146,12 @@ class InducedSystem:
     proj0: ProjectiveData
     proj1: ProjectiveData
     report: PairClassReport
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         check_scale(self.t)
 
-    @cached_property
+    @_per_pair
     def thresholds(self) -> ThresholdPair:
         """The thresholds of the pair, the same at every scale.
 
@@ -147,20 +176,18 @@ class InducedSystem:
             raise ClosedFormMismatch(f"thresholds out of order: t0 = {t0}, t1 = {t1}")
         return ThresholdPair(t0=t0, t1=t1)
 
-    @cached_property
+    @_per_pair
     def branch_floats(self) -> tuple[tuple, tuple]:
         """Float constants of both branches, read by the grid pass and the series sweep.
 
-        Branch i is (lo, hi, tau, alpha, sigma, bd, b, a, det, log_t): X_i widened
-        by MEMBER_TOL; the series factor tau = (a - b, b, alpha, b + d) of the
+        Branch i is (lo, hi, tau, alpha, sigma, bd, b, a, det): X_i widened by
+        MEMBER_TOL; the series factor tau = (a - b, b, alpha, b + d) of the
         float entries; alpha and sigma of the projective data; b + d, b, a and
-        det A_i; log t on X1 and 0.0 on X0.  Each is one subexpression of
-        apply_T or f_eval that does not contain x, rounded once.
+        det A_i.  Each is one subexpression of apply_T or f_eval that contains
+        neither x nor t, rounded once.
         """
         out = []
-        for i, (A, pr, X) in enumerate(
-            ((self.pair.A0, self.proj0, self.X0), (self.pair.A1, self.proj1, self.X1))
-        ):
+        for A, pr, X in ((self.pair.A0, self.proj0, self.X0), (self.pair.A1, self.proj1, self.X1)):
             a, b, cc, d = (float(v) for v in A.entries())
             out.append((
                 float(X.lo) - MEMBER_TOL,
@@ -172,11 +199,10 @@ class InducedSystem:
                 float(A.b),
                 float(A.a),
                 float(A.det()),
-                math.log(float(self.t)) if i else 0.0,
             ))
         return tuple(out)
 
-    @cached_property
+    @_per_pair
     def f_prime_sup(self) -> float:
         """Supremum of |f'| = 1/|x + sigma_i| over the branch intervals.
 
@@ -214,30 +240,46 @@ def induced_image(A: Matrix2) -> Interval:
 
 
 def induced_system(pair: MatrixPair, t: Number = 1) -> InducedSystem:
-    """Build the two-branch system; identical for every positive t.
+    """The two-branch system of the pair at scale t; identical for every positive t.
 
-    The one class check of a public call, made before the scale check;
-    callers that need class D build the system with class_d_system.
+    The class is checked before the scale; callers that need class D build
+    the system with class_d_system.
     """
-    return _system_of_report(pair, pair_report(pair), t)
+    return replace(_unit_system(pair), pair=pair, t=t)
 
 
 def class_d_system(pair: MatrixPair, t: Number) -> InducedSystem:
     """induced_system, but a pair outside class D raises NotInClassD before t is checked."""
-    sys = induced_system(pair)
-    if not sys.report.in_D:
+    unit = _unit_system(pair)
+    if not unit.report.in_D:
         raise NotInClassD("the pair fails the strict cross inequalities of the Sturmian class")
-    return replace(sys, t=t)
+    return replace(unit, pair=pair, t=t)
 
 
-def _system_of_report(pair: MatrixPair, report: PairClassReport, t: Number) -> InducedSystem:
-    """induced_system for a caller that already holds the pair's class report."""
-    if not report.in_C:
+def classified(pair: MatrixPair) -> tuple[PairClassReport, Optional[InducedSystem]]:
+    """The pair's class report and, for a pair in class C, its cached system at t = 1."""
+    return _classify_once(tuple((type(x), x) for x in pair.A0.entries() + pair.A1.entries()))
+
+
+def _unit_system(pair: MatrixPair) -> InducedSystem:
+    report, unit = classified(pair)
+    if unit is None:
         raise NotInClassC(f"pair is not concave-convex: margins {report.inequality_margins}")
+    return unit
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _classify_once(key: tuple) -> tuple[PairClassReport, Optional[InducedSystem]]:
+    """classified for the pair whose entries are the values of key, of its types."""
+    values = [x for _, x in key]
+    pair = MatrixPair(Matrix2(*values[:4]), Matrix2(*values[4:]))
+    report = pair_report(pair)
+    if not report.in_C:
+        return report, None
     proj0, proj1 = report.witnesses
-    return InducedSystem(
+    return report, InducedSystem(
         pair=pair,
-        t=t,
+        t=1,
         X0=induced_image(pair.A0),
         X1=induced_image(pair.A1),
         proj0=proj0,

@@ -156,9 +156,16 @@ def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
     positive functionals, so each level keeps just those hull vertices, with
     one common log scale per level.  Only the first level is not scaled, and
     where its products overflow it is scaled by a power of two, exactly.
+    Where the first level itself overflows, both generators are scaled by
+    2^-k, k the exponent of t, and each bound gains k log 2 back.
     """
     _check_bruteforce_args(pair, t, max_len)
-    gens = (pair.A0.to_float(), pair.A1.to_float().scaled(float(t)))
+    tf, k_gens = float(t), 0
+    A0, A1 = pair.A0.to_float(), pair.A1.to_float()
+    gens = (A0, A1.scaled(tf))
+    if not all(math.isfinite(A.a + A.c) and math.isfinite(A.b + A.d) for A in gens):
+        k_gens = math.frexp(tf)[1]
+        gens = (A0.scaled(2.0**-k_gens), A1.scaled(math.ldexp(tf, -k_gens)))
     level = _upper_right_hull([(A.a + A.c, A.b + A.d) for A in gens])
 
     def grow():  # the row vectors of the next level
@@ -179,7 +186,7 @@ def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
             r = 1.0 / m
             level = _upper_right_hull([(x * r, y * r) for x, y in nxt])
             log_scale += math.log(m)
-    return best
+    return best + k_gens * math.log(2)
 
 
 def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> float:

@@ -49,11 +49,23 @@ def sqrt_number(x: Number) -> Number:
 
 
 def check_scale(t: Number) -> None:
-    """A scale is positive and finite: NonPositiveScale for t <= 0 or NaN, DomainError for inf."""
+    """A scale is positive with a finite float.
+
+    NonPositiveScale for t <= 0 or NaN; DomainError for inf and for an exact
+    t whose float overflows.
+    """
     if not t > 0:
         raise NonPositiveScale(f"t must be positive, got {t}")
-    if t == math.inf:
-        raise DomainError(f"t must be finite, got {t}")
+    if float_or_inf(t) == math.inf:
+        raise DomainError("t must be finite, and so must its float")
+
+
+def float_or_inf(x: Number) -> float:
+    """float(x), or inf where an exact x overflows a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def sign(x: Number) -> int:
@@ -83,10 +95,7 @@ def parse_exact(text: str) -> Fraction:
     if q == 0:
         raise ValueError(f"zero denominator in {text!r}")
     x = Fraction(int(num), q)
-    try:
-        f = float(x)
-    except OverflowError:
-        f = math.inf
+    f = float_or_inf(x)
     if math.isinf(f) or (f == 0 and x != 0):
         raise ValueError("exact value does not fit a float")
     return x

@@ -82,11 +82,16 @@ class CounterexampleResult:
 
 @dataclass(frozen=True)
 class _Envelope:
-    """Lines base + (p/q) log t by rising p/q; line k tops breaks[k] <= t < breaks[k+1]."""
+    """Lines base + (p/q) log t by rising p/q; line k tops breaks[k] <= t < breaks[k+1].
+
+    log_radii are log r(A0) and log r(A1), the values of 0/1 and 1/1 at t = 1
+    below t0 and above t1.
+    """
 
     params: tuple[RationalParameter, ...]
     bases: tuple[float, ...]
     breaks: tuple[float, ...]
+    log_radii: tuple[float, float]
 
 
 def _sturmian_table(
@@ -141,6 +146,10 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
         params=tuple(RationalParameter(*hull[k][:2]) for k in kept),
         bases=tuple(hull[k][2] for k in kept),
         breaks=tuple(breaks[k] for k in kept) + (math.inf,),
+        log_radii=(
+            math.log(spectral_radius(Matrix2(*entries[:4]))),
+            math.log(spectral_radius(Matrix2(*entries[4:]))),
+        ),
     )
 
 
@@ -153,7 +162,7 @@ def _validated(pair: MatrixPair, max_den: int, t: Number = 1) -> tuple[Threshold
     return sys.thresholds, _envelope(entries, max_den)
 
 
-def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
+def _sample(th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
     tf = float(t)
     lo, hi = th.inside
     if lo <= tf <= hi:
@@ -162,17 +171,17 @@ def _sample(pair: MatrixPair, th: ThresholdPair, env: _Envelope, t: Number) -> S
         value = env.bases[k] + param.p / param.q * math.log(tf)
     elif tf < lo:
         param = RationalParameter(0, 1)
-        value = math.log(float(spectral_radius(pair.A0.to_float())))
+        value = env.log_radii[0]
     else:
         param = RationalParameter(1, 1)
-        value = math.log(tf) + math.log(float(spectral_radius(pair.A1.to_float())))
+        value = math.log(tf) + env.log_radii[1]
     return StaircaseSample(t=t, parameter=param, value=value, word=mechanical_word(param))
 
 
 def parameter_map(pair: MatrixPair, t: Number, max_den: int) -> StaircaseSample:
     """Best Sturmian parameter at float(t), regime included, at denominator cap max_den."""
     th, env = _validated(pair, max_den, t)
-    return _sample(pair, th, env, t)
+    return _sample(th, env, t)
 
 
 def staircase_scan(
@@ -198,7 +207,7 @@ def staircase_scan(
     if not math.isfinite(ts[-1]):
         raise DomainError(f"the scan from t_min = {t_min} to t_max = {t_max} overflows a float")
     th, env = _validated(pair, max_den)
-    return [_sample(pair, th, env, t) for t in ts]
+    return [_sample(th, env, t) for t in ts]
 
 
 def parameter_bracket_of_coordinate(sys: InducedSystem, c: Number) -> ParameterBracket:

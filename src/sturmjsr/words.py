@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import DomainError, EmptyWord
@@ -50,8 +51,9 @@ class ParameterBracket:
     exact: Optional[RationalParameter] = None
 
 
+@lru_cache(maxsize=1024)
 def mechanical_word(param: RationalParameter) -> str:
-    """Lower mechanical word of slope p/q with intercept zero."""
+    """Lower mechanical word of slope p/q with intercept zero, kept for the last 1024 parameters."""
     p, q = param.p, param.q
     return "".join(str((k + 1) * p // q - k * p // q) for k in range(q))
 

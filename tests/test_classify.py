@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from sturmjsr import (
     counterexample_search,
     d2_pair,
     domination_check,
+    induced_system,
     jsr_lower_bruteforce,
     jsr_upper_norm,
     pair_report,
@@ -38,8 +40,16 @@ from sturmjsr import (
     thresholds,
     word_product,
 )
+from sturmjsr import dynamics
 from sturmjsr.cli import main
-from sturmjsr.errors import DomainError, NonPositiveMatrix, NonPositiveScale
+from sturmjsr.errors import (
+    DomainError,
+    NonPositiveMatrix,
+    NonPositiveScale,
+    NotInClassC,
+    NotInClassD,
+)
+from sturmjsr.words import mechanical_word
 
 from conftest import random_positive_matrix, random_rational
 
@@ -357,8 +367,6 @@ def test_class_C_quadratic_sign_facts(reference_pair):
 def test_class_C_linear_factor_signs(reference_pair):
     # x + sigma0 < 0 on X0, x + sigma1 > 0 on X1 (checked at the endpoints),
     # and x + rho0 > 0, x + rho1 < 0 at x in {0, 1}.
-    from sturmjsr import induced_system
-
     rng = random.Random(27)
     for pair in [reference_pair] + _random_class_c_pairs(rng, 30):
         sys = induced_system(pair, 1)
@@ -403,10 +411,25 @@ LIBRARY_CALLS = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def _no_pair_cached():
+    # The count tests below start from a process that has classified no pair.
+    dynamics._classify_once.cache_clear()
+    mechanical_word.cache_clear()
+
+
+def _equal_copy(pair):
+    """A new pair object with the same entries, of the same types."""
+    return MatrixPair(Matrix2(*pair.A0.entries()), Matrix2(*pair.A1.entries()))
+
+
 @pytest.mark.parametrize("call", LIBRARY_CALLS + [pytest.param(_classify_cli, id="cli-classify")])
 def test_public_call_classifies_the_pair_once(reference_pair, monkeypatch, call):
+    # Once per pair and process: a second call on an equal pair classifies nothing.
     calls = _count_calls(monkeypatch, pair_report)
     call(reference_pair)
+    assert len(calls) == 1
+    call(_equal_copy(reference_pair))
     assert len(calls) == 1
 
 
@@ -418,37 +441,75 @@ def test_public_call_computes_each_members_projective_data_once(
     calls = _count_calls(monkeypatch, projective_data)
     call(reference_pair)
     assert len(calls) == 2
+    call(_equal_copy(reference_pair))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("call", LIBRARY_CALLS + [pytest.param(_classify_cli, id="cli-classify")])
 def test_public_call_derives_the_thresholds_and_branch_constants_once(
     reference_pair, monkeypatch, request, call
 ):
-    # The induced system caches both.  Every call but the restricted maximum
-    # reads the thresholds; certify reads the branch constants, and the
-    # interior series also the bound on f'.
+    # The pair's systems share all three.  Every call but the restricted
+    # maximum reads the thresholds; certify reads the branch constants, and
+    # the interior series also the bound on f'.
     counts = {
         name: _count_computations(monkeypatch, InducedSystem, name)
         for name in ("thresholds", "branch_floats", "f_prime_sup")
     }
     call(reference_pair)
-    assert len(counts["thresholds"]) == int("restricted" not in request.node.callspec.id)
-    assert len(counts["branch_floats"]) <= 1 and len(counts["f_prime_sup"]) <= 1
+    first = {name: len(calls) for name, calls in counts.items()}
+    assert first["thresholds"] == int("restricted" not in request.node.callspec.id)
+    assert first["branch_floats"] <= 1 and first["f_prime_sup"] <= 1
+    call(_equal_copy(reference_pair))
+    assert {name: len(calls) for name, calls in counts.items()} == first
 
 
 def _count_computations(monkeypatch, cls, name):
-    """Count the computations of the cached property name of cls."""
+    """Count the computations of the per-pair property name of cls."""
     calls = []
-    compute = vars(cls)[name].func
+    compute = vars(cls)[name].fget.__wrapped__
 
     def counting(self):
         calls.append(self)
         return compute(self)
 
-    prop = functools.cached_property(counting)
-    prop.__set_name__(cls, name)
-    monkeypatch.setattr(cls, name, prop)
+    counting.__name__ = name
+    monkeypatch.setattr(cls, name, dynamics._per_pair(counting))
     return calls
+
+
+def test_the_pair_cache_keys_on_entry_types(reference_pair):
+    # Equal entries of other types compare and hash equal: Fraction(1) == 1,
+    # and the float copy equals the exact pair of its own dyadic values.  Each
+    # pair must still get the thresholds it gets on a cleared cache, and its
+    # own pair object on the system.
+    floats = reference_pair.to_float()
+    dyadic = MatrixPair(*(Matrix2(*map(F, A.entries())) for A in (floats.A0, floats.A1)))
+    twin = MatrixPair(reference_pair.A0, replace(reference_pair.A1, b=1))
+    assert dyadic == floats and twin == reference_pair
+    pairs = (reference_pair, floats, twin, dyadic)
+
+    def bits(pair):
+        assert induced_system(pair).pair is pair
+        th = thresholds(pair)
+        return [(type(x), x.hex() if isinstance(x, float) else x) for x in (th.t0, th.t1)]
+
+    alone = []
+    for pair in pairs:
+        dynamics._classify_once.cache_clear()
+        alone.append(bits(pair))
+    assert alone[1] != alone[3]
+    for order in (pairs, pairs[::-1]):
+        dynamics._classify_once.cache_clear()
+        got = {id(pair): bits(pair) for pair in order}
+        assert [got[id(pair)] for pair in pairs] == alone
+
+
+def test_a_class_c_pair_outside_class_d_raises_on_every_call(c_not_d_pair):
+    for _ in range(2):
+        with pytest.raises(NotInClassD) as info:
+            parameter_map(c_not_d_pair, 1, 20)
+        assert not isinstance(info.value, NotInClassC)
 
 
 SCALED_CALLS = [
@@ -468,9 +529,11 @@ SCALED_CALLS = [
 @pytest.mark.parametrize("call", SCALED_CALLS)
 def test_an_infinite_scale_is_a_domain_error(reference_pair, call):
     # Read as a number, inf gives wrong answers: a lower bound of inf, a nan
-    # flatness, the parameter 1/1 with value inf.
-    with pytest.raises(DomainError, match="finite"):
-        call(reference_pair, math.inf)
+    # flatness, the parameter 1/1 with value inf.  An exact scale whose float
+    # overflows is the same scale, not an OverflowError.
+    for t in (math.inf, F(10**400), 10**400):
+        with pytest.raises(DomainError, match="finite"):
+            call(reference_pair, t)
     with pytest.raises(NonPositiveScale):
         call(reference_pair, math.nan)
 

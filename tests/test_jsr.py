@@ -218,6 +218,16 @@ def test_upper_norm_at_large_scales(reference_pair, t):
     assert abs(est.upper - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("t", [1e308, 1.7e308])
+def test_upper_norm_where_the_first_level_overflows(reference_pair, t):
+    # t*A1's row sums overflow; the bound is finite, and it sits as far above
+    # log t as it does at t = 1e300, where only the second level overflows.
+    est = jsr_lower_bruteforce(reference_pair, t, 10)
+    assert math.isfinite(est.upper) and est.lower <= est.upper
+    far = jsr_upper_norm(reference_pair, 1e300, 10) - math.log(1e300)
+    assert abs((est.upper - math.log(t)) - far) <= 1e-12
+
+
 def test_upper_norm_rejects_signed_entries():
     signed = MatrixPair(Matrix2(1, -0.5, 0.3, 1), Matrix2(1, 0.2, 0.1, 0.9))
     with pytest.raises(NonPositiveMatrix):
