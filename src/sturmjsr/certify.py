@@ -61,7 +61,7 @@ from .dynamics import (
 )
 from .errors import DomainError, NoConvergence, OutOfInteriorRange
 from .matrices import Entries, MatrixPair, _product
-from .scalar import Number
+from .scalar import Number, check_scale
 
 FLAT_TOL = 1e-6
 MARGIN_TOL = 1e-8
@@ -109,18 +109,18 @@ def _moebius(m: Entries, x: float) -> float:
 
 
 def _grid_pass(
-    sys: InducedSystem, xs: Sequence[float], gamma: Sequence[Interval]
+    sys: InducedSystem, t: Number, xs: Sequence[float], gamma: Sequence[Interval]
 ) -> tuple[list[float], list[float], list[bool]]:
-    """T(x), f(x) and membership in the intervals gamma for every float x in xs.
+    """T(x), f(x) at scale t and membership in the intervals gamma for every float x in xs.
 
     The branch is branch_of's: X0 first, then X1, both widened by MEMBER_TOL.
-    T(x) and f(x) carry the bits of float(apply_T(sys, x)) and f_eval(sys, x)
+    T(x) and f(x) carry the bits of float(apply_T(sys, x)) and f_eval(sys, x, t)
     (see the module docstring for the rounding rule).
     """
     log = math.log
     (lo0, hi0, *k0), (lo1, hi1, *k1) = sys.branch_floats
     k0.append(0.0)
-    k1.append(log(float(sys.t)))
+    k1.append(log(float(t)))
     bounds = [(float(g.lo) - MEMBER_TOL, float(g.hi) + MEMBER_TOL) for g in gamma]
     txs, fs, inside = [], [], []
     for x in xs:
@@ -251,7 +251,9 @@ def thresholds(pair: MatrixPair) -> ThresholdPair:
 
 def domination_check(pair: MatrixPair, t: Number) -> Domination:
     """Which regime the scale t falls in; boundaries count as domination."""
-    return induced_system(pair, t).thresholds.regime(t)
+    th = induced_system(pair).thresholds
+    check_scale(t)
+    return th.regime(t)
 
 
 def endpoint_ratio_log(pair: MatrixPair, t: Number) -> float:
@@ -319,8 +321,8 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float
     raise NoConvergence(f"Brent iteration not converged after {BRENT_MAX_ITER} steps")
 
 
-def gamma_of_t(sys: InducedSystem, tail_tol: float = TAIL_TOL) -> float:
-    """Image coordinate c* of the Sturmian interval matched to the scale of sys.
+def gamma_of_t(sys: InducedSystem, t: Number, tail_tol: float = TAIL_TOL) -> float:
+    """Image coordinate c* of the Sturmian interval matched to the scale t.
 
     Solves Delta(c*) = log((a0+c0)/((b1+d1) t)) by Brent's method on [0, 1],
     where Delta falls from positive at c = 0 to negative at c = 1.  A t that
@@ -329,10 +331,11 @@ def gamma_of_t(sys: InducedSystem, tail_tol: float = TAIL_TOL) -> float:
     outside the bracket: NoConvergence.  Each Delta sums the series to
     tail_tol; the residual checked against 1e-9 is the solver's last value.
     """
+    check_scale(t)
     th = sys.thresholds
-    if th.regime(sys.t) is not Domination.INTERIOR:
-        raise OutOfInteriorRange(f"t = {sys.t} outside ({th.t0}, {th.t1})")
-    target = endpoint_ratio_log(sys.pair, sys.t)
+    if th.regime(t) is not Domination.INTERIOR:
+        raise OutOfInteriorRange(f"t = {t} outside ({th.t0}, {th.t1})")
+    target = endpoint_ratio_log(sys.pair, t)
 
     def h(cc: float) -> float:
         return delta_numeric(sys, cc, tail_tol) - target
@@ -364,17 +367,19 @@ def certify(
     branch image, monotone toward it on the other branch, and its boundary
     value there must not exceed the constant (equality is allowed at the
     threshold itself, so the margin test is one-sided with tolerance).
-    The interior series is summed to tail_tol, which is checked first.
+    The interior series is summed to tail_tol.  The class is checked first,
+    then the scale, then tail_tol and grid_size.
     """
+    sys = class_d_system(pair)
+    check_scale(t)
     _check_tail_tol(tail_tol)
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
-    sys = class_d_system(pair, t)
     regime = sys.thresholds.regime(t)
 
     interior = regime is Domination.INTERIOR
     if interior:
-        c_star = gamma_of_t(sys, tail_tol)
+        c_star = gamma_of_t(sys, t, tail_tol)
         # T maps each X_i onto [0, 1], but rounding at the grid ends can step outside.
         clamp = lambda zs: [min(max(z, 0.0), 1.0) for z in zs]  # noqa: E731
         phi = lambda zs: _phi_batch(sys, c_star, clamp(zs), tail_tol)  # noqa: E731
@@ -388,7 +393,7 @@ def certify(
     xs = sys.X0.grid(n0) + sys.X1.grid(n0)
     spec = sturmian_interval_endpoints(sys, c_star)
     pieces = [piece for piece in (spec.piece0, spec.piece1) if piece is not None]
-    txs, f_vals, in_gamma = _grid_pass(sys, xs, pieces)
+    txs, f_vals, in_gamma = _grid_pass(sys, t, xs, pieces)
     phis = phi(xs + txs)
     phi_x, phi_tx = phis[: len(xs)], phis[len(xs) :]
     g_vals = [f + px - ptx for f, px, ptx in zip(f_vals, phi_x, phi_tx)]

@@ -17,21 +17,20 @@ the interval with coordinate c is [T_{A0}(c), T_{A0}(1)] u [T_{A1}(0),
 T_{A1}(c)], and its hybrid contraction applies the symbol-1 branch left of c
 and the symbol-0 branch from c on.
 
-The system owns what it derives from its pair, once per pair: the float
-branch constants that the certificate reads, and the thresholds
+The system belongs to the pair: its branch images, its class report, the
+float branch constants that the certificate reads, and the thresholds
 
     t_i = rho_i (a0 + rho_i (a0 + c0)) / ((1 + rho_i)(b1 + rho_i (b1 + d1)))
         = ((a0 + c0) / (b1 + d1)) exp(-Delta_i),
 
 Delta_i the matching functional of the extremal interval X_i; the scaled
-pair is dominated by A0 for t <= t0 and by t*A1 for t >= t1.
+pair is dominated by A0 for t <= t0 and by t*A1 for t >= t1.  The scale t
+enters only the potential, so the functions of the scaled pair take it.
 
-None of this depends on t, so each pair is classified once per process: a
-bounded cache keeps the t = 1 system of the last PAIR_CACHE_SIZE pairs, keyed
-on the type and value of each entry (Fraction(1, 2) == 0.5 and 1 ==
-Fraction(1), but their systems differ), and induced_system and
-class_d_system return that system at the caller's scale.  A call that
-raises leaves nothing in the cache.
+Each pair is classified once per process: a bounded cache keeps the systems
+of the last PAIR_CACHE_SIZE pairs, keyed on the type and value of each entry
+(Fraction(1, 2) == 0.5 and 1 == Fraction(1), but their systems differ).  A
+call that raises leaves nothing in the cache.
 
 T_A and S_A are Matrix2.moebius and moebius_inverse.  class_d_system is the
 one check of the Sturmian class D, shared by every call that needs it.
@@ -41,8 +40,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, wraps
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .classify import PairClassReport, pair_report
@@ -59,7 +58,7 @@ from .scalar import Number, check_scale, is_exact
 # Interval membership on the float path inflates endpoints by this much so
 # endpoint orbits classify stably.
 MEMBER_TOL = 1e-12
-# Pairs whose class report and t = 1 system the process keeps.
+# Pairs whose class report and system the process keeps.
 PAIR_CACHE_SIZE = 64
 
 
@@ -113,47 +112,24 @@ class ThresholdPair:
         return lo, (hi if hi < self.t1 else math.nextafter(hi, 0.0))
 
 
-def _per_pair(compute):
-    """A property computed on first read and kept in the memo of the system.
-
-    dataclasses.replace hands the memo on, so every scale of a pair shares
-    one value.  A computation that raises stores nothing and raises again on
-    the next read.
-    """
-    name = compute.__name__
-
-    @wraps(compute)
-    def read(self):
-        if name not in self.memo:
-            self.memo[name] = compute(self)
-        return self.memo[name]
-
-    return property(read)
-
-
 @dataclass(frozen=True)
 class InducedSystem:
-    """A concave-convex pair with its scale, branch images, projective data, and class report.
+    """A concave-convex pair with its branch images, projective data, and class report.
 
-    The properties below do not depend on t: they are computed once per pair
-    and kept in memo, which is not compared or shown.
+    Nothing here depends on the scale t; the properties below are computed
+    on first read and kept.
     """
 
     pair: MatrixPair
-    t: Number
     X0: Interval
     X1: Interval
     proj0: ProjectiveData
     proj1: ProjectiveData
     report: PairClassReport
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        check_scale(self.t)
-
-    @_per_pair
+    @cached_property
     def thresholds(self) -> ThresholdPair:
-        """The thresholds of the pair, the same at every scale.
+        """The thresholds of the pair.
 
         Both closed forms (direct rational function of rho, and endpoint ratio
         divided by the exponential of the matching functional) are computed and
@@ -176,7 +152,7 @@ class InducedSystem:
             raise ClosedFormMismatch(f"thresholds out of order: t0 = {t0}, t1 = {t1}")
         return ThresholdPair(t0=t0, t1=t1)
 
-    @_per_pair
+    @cached_property
     def branch_floats(self) -> tuple[tuple, tuple]:
         """Float constants of both branches, read by the grid pass and the series sweep.
 
@@ -202,7 +178,7 @@ class InducedSystem:
             ))
         return tuple(out)
 
-    @_per_pair
+    @cached_property
     def f_prime_sup(self) -> float:
         """Supremum of |f'| = 1/|x + sigma_i| over the branch intervals.
 
@@ -239,33 +215,25 @@ def induced_image(A: Matrix2) -> Interval:
     return Interval(b / (b + d), a / (a + c))
 
 
-def induced_system(pair: MatrixPair, t: Number = 1) -> InducedSystem:
-    """The two-branch system of the pair at scale t; identical for every positive t.
+def induced_system(pair: MatrixPair) -> InducedSystem:
+    """The two-branch system of the pair; a pair outside class C raises NotInClassC."""
+    report, sys = classified(pair)
+    if sys is None:
+        raise NotInClassC(f"pair is not concave-convex: margins {report.inequality_margins}")
+    return sys
 
-    The class is checked before the scale; callers that need class D build
-    the system with class_d_system.
-    """
-    return replace(_unit_system(pair), pair=pair, t=t)
 
-
-def class_d_system(pair: MatrixPair, t: Number) -> InducedSystem:
-    """induced_system, but a pair outside class D raises NotInClassD before t is checked."""
-    unit = _unit_system(pair)
-    if not unit.report.in_D:
+def class_d_system(pair: MatrixPair) -> InducedSystem:
+    """induced_system for a pair in class D; one outside it raises NotInClassD."""
+    sys = induced_system(pair)
+    if not sys.report.in_D:
         raise NotInClassD("the pair fails the strict cross inequalities of the Sturmian class")
-    return replace(unit, pair=pair, t=t)
+    return sys
 
 
 def classified(pair: MatrixPair) -> tuple[PairClassReport, Optional[InducedSystem]]:
-    """The pair's class report and, for a pair in class C, its cached system at t = 1."""
+    """The pair's class report and, for a pair in class C, its cached system."""
     return _classify_once(tuple((type(x), x) for x in pair.A0.entries() + pair.A1.entries()))
-
-
-def _unit_system(pair: MatrixPair) -> InducedSystem:
-    report, unit = classified(pair)
-    if unit is None:
-        raise NotInClassC(f"pair is not concave-convex: margins {report.inequality_margins}")
-    return unit
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -279,7 +247,6 @@ def _classify_once(key: tuple) -> tuple[PairClassReport, Optional[InducedSystem]
     proj0, proj1 = report.witnesses
     return report, InducedSystem(
         pair=pair,
-        t=1,
         X0=induced_image(pair.A0),
         X1=induced_image(pair.A1),
         proj0=proj0,
@@ -297,12 +264,13 @@ def branch_of(sys: InducedSystem, x: Number) -> Optional[int]:
     return None
 
 
-def f_eval(sys: InducedSystem, x: Number) -> float:
-    """Induced function of the scaled pair at x in X0 u X1.
+def f_eval(sys: InducedSystem, x: Number, t: Number) -> float:
+    """Induced function of the pair scaled by t at x in X0 u X1.
 
     On the X0 branch this is log(det A0 / (-alpha0 (x + sigma0))); on the X1
     branch the same formula for A1 plus log t.
     """
+    check_scale(t)
     i = branch_of(sys, x)
     if i is None:
         raise DomainError(f"x = {x} lies in the gap or outside [0, 1]")
@@ -311,7 +279,7 @@ def f_eval(sys: InducedSystem, x: Number) -> float:
     ratio = A.det() / (-proj.alpha * (x + proj.sigma))
     val = math.log(float(ratio))
     if i == 1:
-        val += math.log(float(sys.t))
+        val += math.log(float(t))
     return val
 
 

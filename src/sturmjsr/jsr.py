@@ -194,21 +194,22 @@ def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> flo
 
     By the ergodic-average identity this equals the integral of the induced
     function of the scaled pair against the Sturmian measure of the given
-    parameter.  induced_system checks that the pair is in class C and t > 0.
+    parameter.  The pair must be in class C, checked before the scale.
     """
-    induced_system(pair, t)
+    induced_system(pair)
+    check_scale(t)
     return word_value(pair.to_float(), float(t), mechanical_word(param))
 
 
-def ergodic_average_f(sys: InducedSystem, word: str) -> float:
-    """Average of the induced function over the periodic orbit of the word.
+def ergodic_average_f(sys: InducedSystem, word: str, t: Number) -> float:
+    """Average of the induced function at scale t over the periodic orbit of the word.
 
     Second route to the word value: the orbit comes from the product's fixed
     point and the contractions, but the value is the sum of the induced
     function along it, not the product's spectral radius.
     """
     orbit = periodic_orbit(sys, word)
-    return math.fsum(f_eval(sys, x) for x in orbit) / len(orbit)
+    return math.fsum(f_eval(sys, x, t) for x in orbit) / len(orbit)
 
 
 def sturmian_restricted_max(
@@ -221,12 +222,12 @@ def sturmian_restricted_max(
     order and are replayed by (q, p).  The restricted maximum converges to
     log r of the scaled pair as the denominator cap grows.
     """
-    tf = float(t)
-    class_d_system(pair, tf)  # checks the float scale, so a t that rounds to 0 fails
+    class_d_system(pair)
+    check_scale(t)
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
     params, words = itertools.tee(stern_brocot_words(max_den))
-    values = word_values(pair.to_float(), tf, (word for _, _, word in words))
+    values = word_values(pair.to_float(), float(t), (word for _, _, word in words))
     best: tuple[RationalParameter, float] | None = None
     for (q, p), value in sorted(zip(((q, p) for p, q, _ in params), values)):
         if best is None or value > best[1] + VALUE_TIE_TOL:

@@ -49,15 +49,15 @@ def sqrt_number(x: Number) -> Number:
 
 
 def check_scale(t: Number) -> None:
-    """A scale is positive with a finite float.
+    """A scale is positive with a finite, positive float.
 
     NonPositiveScale for t <= 0 or NaN; DomainError for inf and for an exact
-    t whose float overflows.
+    t whose float overflows or underflows to 0.
     """
     if not t > 0:
         raise NonPositiveScale(f"t must be positive, got {t}")
-    if float_or_inf(t) == math.inf:
-        raise DomainError("t must be finite, and so must its float")
+    if not 0 < float_or_inf(t) < math.inf:
+        raise DomainError("t must be finite, and its float finite and positive")
 
 
 def float_or_inf(x: Number) -> float:

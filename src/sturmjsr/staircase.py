@@ -8,9 +8,10 @@ until the matched coordinate c* reaches the fixed point x0 of branch 0
 (the reference pair reads 0 at t = 0.33 > t0 = 0.3117), and that of 1
 starts before t1, where c* reaches x1.  At a finite denominator cap the map
 is the upper envelope of the lines base(p/q) + (p/q) log t, whose
-breakpoints are the plateau edges; each parameter's restricted plateau
-contains its true plateau, which is what makes the counterexample search's
-bracket rigorous.
+breakpoints are the plateau edges.  Each parameter's restricted plateau
+contains its true plateau, but the breakpoints are float meets of lines: the
+counterexample search's bracket is the cap-N envelope's bracket, off by the
+envelope's float error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dynamics import InducedSystem, ThresholdPair, class_d_system, periodic_point_budget
-from .errors import DomainError, NonPositiveScale, PlateauNotFound
+from .errors import DomainError, PlateauNotFound
 from .matrices import (
     Matrix2,
     MatrixPair,
@@ -34,7 +35,7 @@ from .matrices import (
     spectral_radius,
     word_values,
 )
-from .scalar import Number
+from .scalar import Number, check_scale
 from .words import (
     ParameterBracket,
     RationalParameter,
@@ -67,10 +68,12 @@ class PlateauEstimate:
 class CounterexampleResult:
     """Scale bracket and parameter bracket around a target parameter.
 
-    When the target is irrational the parameter bracket cannot collapse, the
-    scale bracket [t_lo, t_hi] provably contains the preimage of the target,
-    and any t in it whose maximizing measure has the target's (irrational)
-    parameter makes the scaled pair a finiteness counterexample.
+    When the target is irrational the parameter bracket cannot collapse, and
+    any t whose maximizing measure has the target's (irrational) parameter
+    makes the scaled pair a finiteness counterexample.  The scale bracket
+    [t_lo, t_hi] is the cap-N envelope's bracket of that t, off by the
+    envelope's float error: from cap 60 on, the golden-mean bracket on the
+    reference pair misses the true scale by 1.3e-14.
     """
 
     t: float
@@ -153,9 +156,11 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
     )
 
 
-def _validated(pair: MatrixPair, max_den: int, t: Number = 1) -> tuple[ThresholdPair, _Envelope]:
+def _validated(pair: MatrixPair, max_den: int, *scales: Number) -> tuple[ThresholdPair, _Envelope]:
     """Class, scale and cap checks, then the thresholds and the envelope of the pair."""
-    sys = class_d_system(pair, t)
+    sys = class_d_system(pair)
+    for t in scales:
+        check_scale(t)
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
     entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
@@ -192,8 +197,7 @@ def staircase_scan(
     max_den: int,
 ) -> list[StaircaseSample]:
     """Geometrically spaced samples of the parameter map, sorted by t."""
-    if not float(t_min) > 0:
-        raise NonPositiveScale(f"t_min must be positive, got {t_min}")
+    th, env = _validated(pair, max_den, t_min, t_max)
     if not float(t_min) < float(t_max):
         raise DomainError("need t_min < t_max")
     if samples < 2:
@@ -206,7 +210,6 @@ def staircase_scan(
         ts = [math.inf]
     if not math.isfinite(ts[-1]):
         raise DomainError(f"the scan from t_min = {t_min} to t_max = {t_max} overflows a float")
-    th, env = _validated(pair, max_den)
     return [_sample(th, env, t) for t in ts]
 
 
@@ -305,12 +308,13 @@ def counterexample_search(
 
     The target is bracketed by its best rational neighbors p- < target < p+
     at the denominator cap, and the scale bracket is the closure of
-    {t : p- <= parameter_map(t) <= p+}, read off the envelope as exact
-    breakpoints, so it meets any tol.  Restricted plateaus contain true
-    plateaus, so this outer bracket provably contains the preimage of the
-    target, and it shrinks as the cap grows because finer neighbors with
-    larger denominators have narrower plateaus.  A rational target at the
-    cap gets its own plateau.  Both ends are clipped to ThresholdPair.inside.
+    {t : p- <= parameter_map(t) <= p+}, read off the envelope's breakpoints,
+    so it meets any tol.  Restricted plateaus contain true plateaus, and the
+    bracket shrinks as the cap grows because finer neighbors with larger
+    denominators have narrower plateaus; but it is the cap-N envelope's
+    bracket, off by the envelope's float error, so it can miss the preimage
+    of the target.  A rational target at the cap gets its own plateau.  Both
+    ends are clipped to ThresholdPair.inside.
     """
     if not (0 < float(target) < 1):
         raise DomainError(f"target must lie strictly inside (0, 1), got {target}")

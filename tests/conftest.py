@@ -38,12 +38,12 @@ def c_not_d_pair() -> MatrixPair:
 
 @pytest.fixture(scope="session")
 def reference_system(reference_pair):
-    return induced_system(reference_pair, 1)
+    return induced_system(reference_pair)
 
 
 @pytest.fixture(scope="session")
 def symmetric_system(symmetric_pair):
-    return induced_system(symmetric_pair, 1)
+    return induced_system(symmetric_pair)
 
 
 def random_positive_matrix(rng: random.Random) -> Matrix2:

@@ -74,7 +74,7 @@ def test_03_ergodic_average_identity(reference_pair, symmetric_pair):
     rng = random.Random(102)
     pairs = (reference_pair, symmetric_pair)
     scales = (F(1, 2), F(1), F(3))
-    systems = {(i, t): induced_system(p, t) for i, p in enumerate(pairs) for t in scales}
+    systems = [induced_system(p) for p in pairs]
     worst = 0.0
     for _ in range(200):
         i = rng.randrange(2)
@@ -82,7 +82,7 @@ def test_03_ergodic_average_identity(reference_pair, symmetric_pair):
         n = rng.randint(1, 8)
         word = "".join(rng.choice("01") for _ in range(n))
         direct = word_value(pairs[i].to_float(), float(t), word)
-        orbital = ergodic_average_f(systems[(i, t)], word)
+        orbital = ergodic_average_f(systems[i], word, t)
         worst = max(worst, abs(direct - orbital))
     check(3, "orbit average of induced function matches product route on 200 words",
           worst <= 1e-10, f"worst {worst:.3e}")
@@ -91,7 +91,7 @@ def test_03_ergodic_average_identity(reference_pair, symmetric_pair):
 def test_04_thresholds_closed_forms(reference_pair):
     th = thresholds(reference_pair)
     ok = th.t0 == F(24, 77) and th.t1 == F(61, 8)
-    sys = induced_system(reference_pair, 1)
+    sys = induced_system(reference_pair)
     r0, r1 = delta_extremal_ratio(sys, 0), delta_extremal_ratio(sys, 1)
     ok = ok and r0 == F(77, 30) and r1 == F(32, 305)
     # Endpoint-ratio route must close exactly after clearing the logs.
@@ -103,10 +103,10 @@ def test_04_thresholds_closed_forms(reference_pair):
 def test_05_transfer_series_convergence(reference_pair, symmetric_pair):
     worst = 0.0
     for pair in (reference_pair, symmetric_pair):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for i in (0, 1):
             worst = max(worst, abs(delta_numeric(sys, float(i)) - delta_extremal(sys, i)))
-    sys = induced_system(reference_pair, 1)
+    sys = induced_system(reference_pair)
     for i in (0, 1):
         for k in range(20):
             z = k / 19

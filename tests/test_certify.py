@@ -126,7 +126,7 @@ def test_delta_numeric_matches_extremal(reference_system, symmetric_system):
 def test_delta_signs_random_class_pairs():
     rng = random.Random(61)
     for pair in _class_pairs(rng, 100):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         assert delta_extremal_ratio(sys, 0) > 1
         assert 0 < delta_extremal_ratio(sys, 1) < 1
 
@@ -191,13 +191,11 @@ def test_domination_check_rejects_a_non_positive_scale(reference_pair):
 
 def test_gamma_of_t_limits_and_residual(reference_pair):
     t0, t1 = F(24, 77), F(61, 8)
-    near0 = induced_system(reference_pair, t0 * F(1001, 1000))
-    assert gamma_of_t(near0) <= 0.05
-    near1 = induced_system(reference_pair, t1 * F(999, 1000))
-    assert gamma_of_t(near1) >= 0.95
+    sys = induced_system(reference_pair)
+    assert gamma_of_t(sys, t0 * F(1001, 1000)) <= 0.05
+    assert gamma_of_t(sys, t1 * F(999, 1000)) >= 0.95
 
-    sys = induced_system(reference_pair, 1)
-    c_star = gamma_of_t(sys)
+    c_star = gamma_of_t(sys, 1)
     assert abs(delta_numeric(sys, c_star) - endpoint_ratio_log(reference_pair, 1)) <= 1e-9
 
 
@@ -206,14 +204,14 @@ def test_gamma_of_t_monotone(reference_pair):
     previous = -1.0
     for k in range(20):
         t = t0 * (t1 / t0) ** ((k + 0.5) / 20)
-        c = gamma_of_t(induced_system(reference_pair, t))
+        c = gamma_of_t(induced_system(reference_pair), t)
         assert c >= previous
         previous = c
 
 
 def test_gamma_of_t_rejects_domination_scales(reference_pair):
     with pytest.raises(OutOfInteriorRange):
-        gamma_of_t(induced_system(reference_pair, F(1, 4)))
+        gamma_of_t(induced_system(reference_pair), F(1, 4))
 
 
 @pytest.mark.parametrize(
@@ -225,7 +223,7 @@ def test_sub_ulp_interior_scale_is_no_convergence(reference_pair, t):
     with pytest.raises(NoConvergence, match="does not bracket"):
         certify(reference_pair, t)
     with pytest.raises(NoConvergence, match="does not bracket"):
-        gamma_of_t(induced_system(reference_pair, t))
+        gamma_of_t(induced_system(reference_pair), t)
 
 
 def test_brent_closed_form_roots():
@@ -281,9 +279,9 @@ def test_brent_matches_scipy_brentq_bit_for_bit(reference_pair, symmetric_pair):
     for pair in (reference_pair, symmetric_pair):
         th = thresholds(pair)
         t0, t1 = float(th.t0), float(th.t1)
+        sys = induced_system(pair)
         for _ in range(100):
             t = t0 * (t1 / t0) ** rng.random()
-            sys = induced_system(pair, t)
             target = endpoint_ratio_log(pair, t)
             memo = {}
 
@@ -297,18 +295,18 @@ def test_brent_matches_scipy_brentq_bit_for_bit(reference_pair, symmetric_pair):
             assert root == expected, t
             assert value == h(root)
             assert evaluations == info.function_calls - 2
-            assert gamma_of_t(sys) == expected
+            assert gamma_of_t(sys, t) == expected
 
 
 def test_fixed_point_value_closed_form(reference_pair, symmetric_pair):
     # f at the fixed point of branch i is log lambda_i, plus log t on X1:
     # the value of the Dirac measure there.
     for pair, t in ((reference_pair, 1), (symmetric_pair, F(3, 2))):
-        sys = induced_system(pair, t)
+        sys = induced_system(pair)
         for i, A in enumerate((pair.A0, pair.A1)):
             d = projective_data(A)
             want = math.log(d.perron_value) + i * math.log(t)
-            assert abs(f_eval(sys, d.fixed_point) - want) <= 1e-12
+            assert abs(f_eval(sys, d.fixed_point, t) - want) <= 1e-12
 
 
 def test_certify_low_scale_dominated(reference_pair, symmetric_pair):
@@ -385,23 +383,22 @@ def test_grid_pass_matches_apply_T_and_f_eval(reference_pair, symmetric_pair, gr
     drawn = _class_pairs(random.Random(18), 2)
     pairs = [reference_pair, symmetric_pair, reference_pair.to_float()]
     for pair in pairs + drawn + [pair.to_float() for pair in drawn]:
-        th = thresholds(pair)
+        th, sys = thresholds(pair), induced_system(pair)
+        xs = sys.X0.grid(n0) + sys.X1.grid(n0)
+        spec = sturmian_interval_endpoints(sys, 0.37)
+        gamma = [spec.piece0, spec.piece1]
         for t in (th.t0 / 2, 1, 2 * th.t1):
-            sys = induced_system(pair, t)
-            xs = sys.X0.grid(n0) + sys.X1.grid(n0)
-            spec = sturmian_interval_endpoints(sys, 0.37)
-            gamma = [spec.piece0, spec.piece1]
-            txs, fs, inside = _grid_pass(sys, xs, gamma)
+            txs, fs, inside = _grid_pass(sys, t, xs, gamma)
             for x, tx, fx, ok in zip(xs, txs, fs, inside):
                 assert tx.hex() == float(apply_T(sys, x)).hex(), (pair, t, x)
-                assert fx.hex() == f_eval(sys, x).hex(), (pair, t, x)
+                assert fx.hex() == f_eval(sys, x, t).hex(), (pair, t, x)
                 assert ok == any(piece.contains(x) for piece in gamma), (pair, t, x)
 
 
 def test_grid_pass_rejects_a_point_in_the_gap(reference_system):
     gap = float(reference_system.X0.hi + reference_system.X1.lo) / 2
     with pytest.raises(DomainError):
-        _grid_pass(reference_system, [gap], [])
+        _grid_pass(reference_system, 1, [gap], [])
 
 
 # float.hex of c, constant_value, flatness and exterior_margin, and the verdict.

@@ -25,6 +25,9 @@ from sturmjsr import (
     counterexample_search,
     d2_pair,
     domination_check,
+    ergodic_average_f,
+    f_eval,
+    gamma_of_t,
     induced_system,
     jsr_lower_bruteforce,
     jsr_upper_norm,
@@ -369,7 +372,7 @@ def test_class_C_linear_factor_signs(reference_pair):
     # and x + rho0 > 0, x + rho1 < 0 at x in {0, 1}.
     rng = random.Random(27)
     for pair in [reference_pair] + _random_class_c_pairs(rng, 30):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for x in (sys.X0.lo, sys.X0.hi):
             assert x + sys.proj0.sigma < 0
         for x in (sys.X1.lo, sys.X1.hi):
@@ -465,24 +468,29 @@ def test_public_call_derives_the_thresholds_and_branch_constants_once(
 
 
 def _count_computations(monkeypatch, cls, name):
-    """Count the computations of the per-pair property name of cls."""
+    """Count the computations of the cached property name of cls."""
     calls = []
-    compute = vars(cls)[name].fget.__wrapped__
+    compute = vars(cls)[name].func
 
     def counting(self):
         calls.append(self)
         return compute(self)
 
-    counting.__name__ = name
-    monkeypatch.setattr(cls, name, dynamics._per_pair(counting))
+    prop = functools.cached_property(counting)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
     return calls
+
+
+def _typed(pair):
+    return [(type(x), x) for x in pair.A0.entries() + pair.A1.entries()]
 
 
 def test_the_pair_cache_keys_on_entry_types(reference_pair):
     # Equal entries of other types compare and hash equal: Fraction(1) == 1,
     # and the float copy equals the exact pair of its own dyadic values.  Each
-    # pair must still get the thresholds it gets on a cleared cache, and its
-    # own pair object on the system.
+    # pair must still get the thresholds it gets on a cleared cache, and a
+    # system whose pair has its entries, of their types.
     floats = reference_pair.to_float()
     dyadic = MatrixPair(*(Matrix2(*map(F, A.entries())) for A in (floats.A0, floats.A1)))
     twin = MatrixPair(reference_pair.A0, replace(reference_pair.A1, b=1))
@@ -490,7 +498,7 @@ def test_the_pair_cache_keys_on_entry_types(reference_pair):
     pairs = (reference_pair, floats, twin, dyadic)
 
     def bits(pair):
-        assert induced_system(pair).pair is pair
+        assert _typed(induced_system(pair).pair) == _typed(pair)
         th = thresholds(pair)
         return [(type(x), x.hex() if isinstance(x, float) else x) for x in (th.t0, th.t1)]
 
@@ -512,30 +520,55 @@ def test_a_class_c_pair_outside_class_d_raises_on_every_call(c_not_d_pair):
         assert not isinstance(info.value, NotInClassC)
 
 
-SCALED_CALLS = [
-    pytest.param(lambda pair, t: certify(pair, t), id="certify"),
-    pytest.param(lambda pair, t: parameter_map(pair, t, 20), id="parameter_map"),
-    pytest.param(lambda pair, t: domination_check(pair, t), id="domination_check"),
-    pytest.param(lambda pair, t: jsr_lower_bruteforce(pair, t, 4), id="jsr_lower_bruteforce"),
-    pytest.param(lambda pair, t: jsr_upper_norm(pair, t, 4), id="jsr_upper_norm"),
-    pytest.param(
-        lambda pair, t: sturmian_value(pair, t, RationalParameter(1, 2)), id="sturmian_value"
-    ),
-    pytest.param(lambda pair, t: word_product(pair, t, "01"), id="word_product"),
-    pytest.param(lambda pair, t: scale_pair(pair, t), id="scale_pair"),
-]
+# Every public call that takes a scale, by name.
+SCALED = {
+    "certify": lambda pair, t: certify(pair, t),
+    "parameter_map": lambda pair, t: parameter_map(pair, t, 20),
+    "domination_check": lambda pair, t: domination_check(pair, t),
+    "jsr_lower_bruteforce": lambda pair, t: jsr_lower_bruteforce(pair, t, 4),
+    "jsr_upper_norm": lambda pair, t: jsr_upper_norm(pair, t, 4),
+    "sturmian_value": lambda pair, t: sturmian_value(pair, t, RationalParameter(1, 2)),
+    "word_product": lambda pair, t: word_product(pair, t, "01"),
+    "scale_pair": lambda pair, t: scale_pair(pair, t),
+    "sturmian_restricted_max": lambda pair, t: sturmian_restricted_max(pair, t, 20),
+    "staircase_scan-t_min": lambda pair, t: staircase_scan(pair, t, 16, 10, 20),
+    "staircase_scan-t_max": lambda pair, t: staircase_scan(pair, 0.2, t, 10, 20),
+    "gamma_of_t": lambda pair, t: gamma_of_t(induced_system(pair), t),
+    "f_eval": lambda pair, t: f_eval(induced_system(pair), F(8, 15), t),
+    "ergodic_average_f": lambda pair, t: ergodic_average_f(induced_system(pair), "01", t),
+}
+SCALED_CALLS = [pytest.param(call, id=name) for name, call in SCALED.items()]
 
 
 @pytest.mark.parametrize("call", SCALED_CALLS)
 def test_an_infinite_scale_is_a_domain_error(reference_pair, call):
     # Read as a number, inf gives wrong answers: a lower bound of inf, a nan
     # flatness, the parameter 1/1 with value inf.  An exact scale whose float
-    # overflows is the same scale, not an OverflowError.
-    for t in (math.inf, F(10**400), 10**400):
+    # overflows, or underflows to 0, is the same kind of scale, not an
+    # OverflowError, a math domain error or a NonPositiveScale for "0.0".
+    for t in (math.inf, F(10**400), 10**400, F(1, 10**400)):
         with pytest.raises(DomainError, match="finite"):
             call(reference_pair, t)
-    with pytest.raises(NonPositiveScale):
-        call(reference_pair, math.nan)
+    for t in (math.nan, -1):
+        with pytest.raises(NonPositiveScale):
+            call(reference_pair, t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [-1, math.nan, math.inf, F(10**400), F(1, 10**400)],
+    ids=["negative", "nan", "inf", "overflow", "underflow"],
+)
+def test_the_class_is_checked_before_the_scale(c_not_d_pair, t):
+    class_d_calls = ("certify", "parameter_map", "staircase_scan-t_min", "sturmian_restricted_max")
+    for name in class_d_calls:
+        with pytest.raises(NotInClassD) as info:
+            SCALED[name](c_not_d_pair, t)
+        assert not isinstance(info.value, NotInClassC), name
+    outside_c = d2_pair(F(1, 2), 3)
+    for name in class_d_calls + ("domination_check", "sturmian_value"):
+        with pytest.raises(NotInClassC):
+            SCALED[name](outside_c, t)
 
 
 def _count_calls(monkeypatch, original):

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -20,13 +20,14 @@ from sturmjsr import (
 )
 from sturmjsr.dynamics import (
     MEMBER_TOL,
+    InducedSystem,
     apply_T,
     branch_of,
     contraction_eval,
     periodic_orbit,
     periodic_point_budget,
 )
-from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassC, NotInClassD
+from sturmjsr.errors import DomainError, NotInClassC, NotInClassD
 
 from conftest import mp_periodic_point
 
@@ -59,49 +60,36 @@ def test_induced_system_symmetric_intervals(symmetric_system):
     assert (symmetric_system.X1.lo, symmetric_system.X1.hi) == (F(3, 5), F(4, 5))
 
 
-def test_induced_system_independent_of_scale(reference_pair):
-    rng = random.Random(31)
-    base = induced_system(reference_pair, 1)
-    for _ in range(10):
-        t = F(rng.randint(1, 50), rng.randint(1, 50))
-        sys = induced_system(reference_pair, t)
-        assert (sys.X0, sys.X1) == (base.X0, base.X1)
-
-
 def test_induced_system_rejects_non_class_C():
     m = Matrix2(2, 1, 1, 1)
     with pytest.raises(NotInClassC):
-        induced_system(MatrixPair(m, m), 1)
-    with pytest.raises(NotInClassC):  # the class is checked before the scale
-        induced_system(MatrixPair(m, m), -1)
+        induced_system(MatrixPair(m, m))
     assert issubclass(NotInClassC, NotInClassD)
 
 
 def test_induced_system_carries_the_class_report(reference_pair, c_not_d_pair):
     for pair in (reference_pair, c_not_d_pair):
-        sys = induced_system(pair, 2)
-        assert sys.report == pair_report(pair)
-        assert replace(sys, t=3).t == 3
-        with pytest.raises(NonPositiveScale):
-            replace(sys, t=0)
+        assert induced_system(pair).report == pair_report(pair)
+    # The system is the pair's: the scale is an argument of f_eval, not a field.
+    names = [f.name for f in fields(InducedSystem)]
+    assert names == ["pair", "X0", "X1", "proj0", "proj1", "report"]
     assert induced_system(reference_pair).report.in_D
     assert not induced_system(c_not_d_pair).report.in_D
 
 
 def test_f_values_at_image_endpoints(reference_pair):
-    sys1 = induced_system(reference_pair, 1)
-    assert math.isclose(f_eval(sys1, F(5, 12)), math.log(F(3, 2)), abs_tol=1e-14)
-    assert math.isclose(f_eval(sys1, F(8, 15)), math.log(F(15, 8)), abs_tol=1e-14)
-    sys2 = induced_system(reference_pair, 2)
+    sys = induced_system(reference_pair)
+    assert math.isclose(f_eval(sys, F(5, 12), 1), math.log(F(3, 2)), abs_tol=1e-14)
+    assert math.isclose(f_eval(sys, F(8, 15), 1), math.log(F(15, 8)), abs_tol=1e-14)
     assert math.isclose(
-        f_eval(sys2, F(8, 15)), math.log(F(15, 8)) + math.log(2), abs_tol=1e-14
+        f_eval(sys, F(8, 15), 2), math.log(F(15, 8)) + math.log(2), abs_tol=1e-14
     )
-    assert math.isclose(f_eval(sys2, F(5, 12)), f_eval(sys1, F(5, 12)), abs_tol=0)
+    assert math.isclose(f_eval(sys, F(5, 12), 2), f_eval(sys, F(5, 12), 1), abs_tol=0)
 
 
 def test_f_rejects_gap_points(reference_system):
     with pytest.raises(DomainError):
-        f_eval(reference_system, 0.47)
+        f_eval(reference_system, 0.47, 1)
 
 
 def test_itinerary_of_fixed_points(reference_system):
@@ -127,7 +115,7 @@ def test_periodic_point_fixed_letters(reference_system):
 def test_periodic_point_matches_product_fixed_point(reference_pair, symmetric_pair):
     rng = random.Random(32)
     for pair in (reference_pair, symmetric_pair):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for _ in range(25):
             n = rng.randint(1, 8)
             word = "".join(rng.choice("01") for _ in range(n))
@@ -152,7 +140,7 @@ def _iterated_periodic_point(sys, word):
 def test_periodic_point_matches_the_iteration(reference_pair, symmetric_pair):
     rng = random.Random(34)
     for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for _ in range(40):
             word = "".join(rng.choice("01") for _ in range(rng.randint(1, 24)))
             assert abs(periodic_point(sys, word) - _iterated_periodic_point(sys, word)) <= 1e-13
@@ -168,7 +156,7 @@ def test_periodic_point_within_budget_of_mpmath(reference_pair, symmetric_pair):
     mpmath = pytest.importorskip("mpmath")
     params = ((1, 2), (2, 5), (8, 21), (1, 40), (39, 40), (55, 144), (89, 233), (1, 320), (99, 320))
     for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for p, q in params:
             word = mechanical_word(RationalParameter(p, q))
             for k in sorted({0, 1, q // 3, q - 1}):
@@ -182,7 +170,7 @@ def test_periodic_point_within_budget_of_mpmath(reference_pair, symmetric_pair):
 def test_periodic_orbit_walks_the_rotations(reference_pair, symmetric_pair):
     rng = random.Random(35)
     for pair in (reference_pair, symmetric_pair):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for _ in range(20):
             word = "".join(rng.choice("01") for _ in range(rng.randint(1, 30)))
             orbit = periodic_orbit(sys, word)
@@ -196,7 +184,7 @@ def test_periodic_orbit_walks_the_rotations(reference_pair, symmetric_pair):
 def test_itinerary_of_periodic_points(reference_pair, symmetric_pair):
     rng = random.Random(33)
     for pair in (reference_pair, symmetric_pair):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for _ in range(20):
             n = rng.randint(1, 8)
             word = "".join(rng.choice("01") for _ in range(n))
@@ -237,10 +225,10 @@ def test_branch_shapes_on_grid(reference_system):
 
 def test_f_monotone_on_branches(reference_system):
     g0 = reference_system.X0.grid(64)
-    vals0 = [f_eval(reference_system, x) for x in g0]
+    vals0 = [f_eval(reference_system, x, 1) for x in g0]
     assert all(b > a for a, b in zip(vals0, vals0[1:]))
     g1 = reference_system.X1.grid(64)
-    vals1 = [f_eval(reference_system, x) for x in g1]
+    vals1 = [f_eval(reference_system, x, 1) for x in g1]
     assert all(b < a for a, b in zip(vals1, vals1[1:]))
 
 
@@ -251,7 +239,7 @@ def test_f_derivative_formula(reference_system):
         lo, hi = float(interval.lo), float(interval.hi)
         for k in range(1, 10):
             x = lo + (hi - lo) * k / 10
-            diff = (f_eval(sys, x + h) - f_eval(sys, x - h)) / (2 * h)
+            diff = (f_eval(sys, x + h, 1) - f_eval(sys, x - h, 1)) / (2 * h)
             assert abs(diff - (-1.0 / (x + float(sigma)))) <= 1e-6
 
 
@@ -268,7 +256,7 @@ def test_telescoped_derivative_sum(reference_system, symmetric_system):
                 for _n in range(250):
                     up = float(contraction_eval(sys, i, up))
                     dn = float(contraction_eval(sys, i, dn))
-                    total += (f_eval(sys, up) - f_eval(sys, dn)) / (2 * h)
+                    total += (f_eval(sys, up, 1) - f_eval(sys, dn, 1)) / (2 * h)
                 assert abs(total - 1.0 / (x + float(rho))) <= 1e-6
 
 

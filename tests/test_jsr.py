@@ -267,13 +267,13 @@ def test_sturmian_value_alternating_word(reference_pair):
 def test_ergodic_average_matches_product_route(reference_pair, symmetric_pair):
     rng = random.Random(51)
     for pair in (reference_pair, symmetric_pair):
+        sys = induced_system(pair)
         for t in (F(1, 2), F(1), F(3)):
-            sys = induced_system(pair, t)
             for _ in range(10):
                 n = rng.randint(1, 8)
                 word = "".join(rng.choice("01") for _ in range(n))
                 assert abs(
-                    ergodic_average_f(sys, word) - word_value(pair.to_float(), float(t), word)
+                    ergodic_average_f(sys, word, t) - word_value(pair.to_float(), float(t), word)
                 ) <= 1e-10
 
 
@@ -283,34 +283,33 @@ def test_ergodic_average_matches_product_route_on_long_mechanical_words(
     # The expanding walk raised DomainError from 21/55 on, and was 1.1e-2
     # off at 1/100 and 1.8e-2 off at 8/21 on the d2 pair.
     for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
+        sys = induced_system(pair)
         for t in (F(1, 2), F(3)):
-            sys = induced_system(pair, t)
             for q in (21, 55, 89, 144):
                 for p in (1, q // 3, (q - 1) // 2, q - 1):
                     if math.gcd(p, q) != 1:
                         continue
                     word = mechanical_word(RationalParameter(p, q))
                     want = word_value(pair.to_float(), float(t), word)
-                    assert abs(ergodic_average_f(sys, word) - want) <= 1e-12, (p, q, t)
-    sys = induced_system(reference_pair, 1)
+                    assert abs(ergodic_average_f(sys, word, t) - want) <= 1e-12, (p, q, t)
+    sys = induced_system(reference_pair)
     word = mechanical_word(RationalParameter(1, 100))
-    assert abs(ergodic_average_f(sys, word) - word_value(reference_pair, 1.0, word)) <= 1e-12
+    assert abs(ergodic_average_f(sys, word, 1) - word_value(reference_pair, 1.0, word)) <= 1e-12
 
 
 def test_ergodic_average_unbalanced_word(reference_pair):
-    sys = induced_system(reference_pair, F(3, 2))
-    got = ergodic_average_f(sys, "0011")
+    got = ergodic_average_f(induced_system(reference_pair), "0011", F(3, 2))
     want = word_value(reference_pair.to_float(), 1.5, "0011")
     assert abs(got - want) <= 1e-10
 
 
 def test_ergodic_average_single_letters(reference_pair):
     # The Dirac values log lambda_0 and log lambda_1 + log t.
-    sys = induced_system(reference_pair, 1)
+    sys, t = induced_system(reference_pair), 1
     want0 = math.log(projective_data(reference_pair.A0).perron_value)
-    want1 = math.log(projective_data(reference_pair.A1).perron_value) + math.log(sys.t)
-    assert abs(ergodic_average_f(sys, "0") - want0) <= 1e-12
-    assert abs(ergodic_average_f(sys, "1") - want1) <= 1e-12
+    want1 = math.log(projective_data(reference_pair.A1).perron_value) + math.log(t)
+    assert abs(ergodic_average_f(sys, "0", t) - want0) <= 1e-12
+    assert abs(ergodic_average_f(sys, "1", t) - want1) <= 1e-12
 
 
 def test_restricted_max_regimes(reference_pair):

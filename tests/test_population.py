@@ -104,7 +104,7 @@ def routes(population):
                 report = certify(pair, t)
                 sample = parameter_map(pair, t, CAP)
                 # certify's c is gamma_of_t's c* at an interior scale.
-                bracket = parameter_bracket_of_coordinate(induced_system(pair, t), report.c)
+                bracket = parameter_bracket_of_coordinate(induced_system(pair), report.c)
             except NoConvergence:
                 raising.append((i, s))
                 continue
@@ -143,11 +143,11 @@ def test_descent_bracket_of_c_star_contains_the_staircase_parameter(routes):
 
 def test_ergodic_average_matches_the_word_product(population):
     for i, pair in enumerate(population):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for p, q in ERGODIC_PARAMETERS:
             word = mechanical_word(RationalParameter(p, q))
             want = word_value(pair.to_float(), 1.0, word)
-            assert abs(ergodic_average_f(sys, word) - want) <= 1e-12, (i, p, q)
+            assert abs(ergodic_average_f(sys, word, 1) - want) <= 1e-12, (i, p, q)
 
 
 def d2_draws(seed, count):

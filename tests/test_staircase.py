@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -264,6 +265,30 @@ def test_counterexample_brackets_shrink(reference_pair):
     assert widths[0] > widths[1] > widths[2]
 
 
+# The scale of the golden-mean target on the reference pair, from ROADMAP item
+# 11: meets of the golden convergents in 90-digit decimal, which agree with
+# 100-digit mpmath in all 68 digits.
+GOLDEN_SCALE = F(Decimal("0.66474662359808323493205597167834385666907758211584531360067340924551"))
+
+
+def _golden_bracket_contains_its_scale(pair, cap):
+    res = counterexample_search(pair, (3 - math.sqrt(5)) / 2, 1e-10, cap)
+    return F(res.t_lo) <= GOLDEN_SCALE <= F(res.t_hi)
+
+
+@pytest.mark.parametrize("cap", [20, 40])
+def test_counterexample_bracket_contains_the_golden_scale(reference_pair, cap):
+    assert _golden_bracket_contains_its_scale(reference_pair, cap)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the cap-150 envelope's bracket misses the scale by 1.27e-14",
+)
+def test_counterexample_bracket_contains_the_golden_scale_at_cap_150(reference_pair):
+    assert _golden_bracket_contains_its_scale(reference_pair, 150)
+
+
 def test_counterexample_rational_target_degenerates(reference_pair):
     res = counterexample_search(reference_pair, 0.5, 1e-6, 50)
     assert res.bracket.exact == RationalParameter(1, 2)
@@ -296,9 +321,9 @@ def test_interior_parameter_consistent_with_interval_coordinate(reference_pair):
     t0, t1 = float(th.t0), float(th.t1)
     for k in range(10):
         t = t0 * (t1 / t0) ** ((k + 0.5) / 10)
-        sys = induced_system(reference_pair, t)
+        sys = induced_system(reference_pair)
         param, _ = sturmian_restricted_max(reference_pair, t, 50)
-        c_star = gamma_of_t(sys)
+        c_star = gamma_of_t(sys, t)
         bracket = parameter_bracket_of_coordinate(sys, c_star)
         if bracket.exact is not None:
             assert bracket.exact == param, (t, param, bracket)
@@ -346,7 +371,7 @@ def test_descent_reads_every_interval_midpoint(reference_pair, symmetric_pair):
     # A midpoint is inside its interval by more than the budget whenever
     # the width exceeds 8 budgets, whatever the rounding of either route.
     for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         point = functools.partial(periodic_point, sys)
         resolved = 0
         for p, q, word in stern_brocot_words(20):
@@ -361,7 +386,7 @@ def test_descent_reads_every_interval_midpoint(reference_pair, symmetric_pair):
 def test_descent_brackets_are_monotone_in_c(reference_pair, symmetric_pair):
     rng = random.Random(71)
     for pair in (reference_pair, symmetric_pair):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         point = functools.partial(periodic_point, sys)
         cs = [rng.random() for _ in range(400)]
         for p, q, word in stern_brocot_words(12):
@@ -382,7 +407,7 @@ def test_descent_agrees_with_mpmath_intervals(reference_pair, symmetric_pair):
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(72)
     for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         with mpmath.workdps(60):
             point = functools.partial(mp_periodic_point, mpmath, pair)
             rows = [(F(p, q), *_c_interval(point, p, q, w)) for p, q, w in stern_brocot_words(20)]

@@ -149,7 +149,7 @@ def test_orbit_points_branch_counts(reference_system):
 def test_orbit_points_are_the_periodic_points_of_the_rotations(reference_pair, symmetric_pair):
     # The backward walk against one closed-form periodic point per rotation.
     for pair in (reference_pair, symmetric_pair, reference_pair.to_float()):
-        sys = induced_system(pair, 1)
+        sys = induced_system(pair)
         for p, q in ((0, 1), (1, 1), (1, 2), (2, 5), (5, 13), (8, 21), (21, 55), (34, 89)):
             pts = sorted(periodic_orbit(sys, mechanical_word(RP(p, q))))
             want = sorted(periodic_point(sys, r) for r in rotations(mechanical_word(RP(p, q))))
