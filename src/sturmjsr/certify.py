@@ -251,9 +251,7 @@ def thresholds(pair: MatrixPair) -> ThresholdPair:
 
 def domination_check(pair: MatrixPair, t: Number) -> Domination:
     """Which regime the scale t falls in; boundaries count as domination."""
-    th = induced_system(pair).thresholds
-    check_scale(t)
-    return th.regime(t)
+    return induced_system(pair, t).thresholds.regime(t)
 
 
 def endpoint_ratio_log(pair: MatrixPair, t: Number) -> float:
@@ -370,8 +368,7 @@ def certify(
     The interior series is summed to tail_tol.  The class is checked first,
     then the scale, then tail_tol and grid_size.
     """
-    sys = class_d_system(pair)
-    check_scale(t)
+    sys = class_d_system(pair, t)
     _check_tail_tol(tail_tol)
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")

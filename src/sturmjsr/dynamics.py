@@ -33,7 +33,8 @@ of the last PAIR_CACHE_SIZE pairs, keyed on the type and value of each entry
 call that raises leaves nothing in the cache.
 
 T_A and S_A are Matrix2.moebius and moebius_inverse.  class_d_system is the
-one check of the Sturmian class D, shared by every call that needs it.
+one check of the Sturmian class D, shared by every call that needs it; it and
+induced_system check the class first, then each scale they are given.
 """
 
 from __future__ import annotations
@@ -215,19 +216,26 @@ def induced_image(A: Matrix2) -> Interval:
     return Interval(b / (b + d), a / (a + c))
 
 
-def induced_system(pair: MatrixPair) -> InducedSystem:
-    """The two-branch system of the pair; a pair outside class C raises NotInClassC."""
+def induced_system(pair: MatrixPair, *scales: Number) -> InducedSystem:
+    """The two-branch system of the pair; the class is checked first, then each scale.
+
+    A pair outside class C raises NotInClassC, a bad scale check_scale's error.
+    """
     report, sys = classified(pair)
     if sys is None:
         raise NotInClassC(f"pair is not concave-convex: margins {report.inequality_margins}")
+    for t in scales:
+        check_scale(t)
     return sys
 
 
-def class_d_system(pair: MatrixPair) -> InducedSystem:
+def class_d_system(pair: MatrixPair, *scales: Number) -> InducedSystem:
     """induced_system for a pair in class D; one outside it raises NotInClassD."""
     sys = induced_system(pair)
     if not sys.report.in_D:
         raise NotInClassD("the pair fails the strict cross inequalities of the Sturmian class")
+    for t in scales:
+        check_scale(t)
     return sys
 
 

@@ -196,8 +196,7 @@ def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> flo
     function of the scaled pair against the Sturmian measure of the given
     parameter.  The pair must be in class C, checked before the scale.
     """
-    induced_system(pair)
-    check_scale(t)
+    induced_system(pair, t)
     return word_value(pair.to_float(), float(t), mechanical_word(param))
 
 
@@ -222,8 +221,7 @@ def sturmian_restricted_max(
     order and are replayed by (q, p).  The restricted maximum converges to
     log r of the scaled pair as the denominator cap grows.
     """
-    class_d_system(pair)
-    check_scale(t)
+    class_d_system(pair, t)
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
     params, words = itertools.tee(stern_brocot_words(max_den))

@@ -35,7 +35,7 @@ from .matrices import (
     spectral_radius,
     word_values,
 )
-from .scalar import Number, check_scale
+from .scalar import Number
 from .words import (
     ParameterBracket,
     RationalParameter,
@@ -158,9 +158,7 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
 
 def _validated(pair: MatrixPair, max_den: int, *scales: Number) -> tuple[ThresholdPair, _Envelope]:
     """Class, scale and cap checks, then the thresholds and the envelope of the pair."""
-    sys = class_d_system(pair)
-    for t in scales:
-        check_scale(t)
+    sys = class_d_system(pair, *scales)
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
     entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
@@ -263,15 +261,13 @@ def parameter_bracket_of_coordinate(sys: InducedSystem, c: Number) -> ParameterB
     return ParameterBracket(RationalParameter(*lo), RationalParameter(*hi))
 
 
-def _plateau(th: ThresholdPair, env: _Envelope, param: RationalParameter, max_den: int):
-    """First and last float at which the parameter map reads an interior param."""
-    lo, hi = th.inside
-    if param in env.params:
-        k = env.params.index(param)
-        lo, hi = max(env.breaks[k], lo), min(math.nextafter(env.breaks[k + 1], 0.0), hi)
-        if lo <= hi:
-            return lo, hi
-    raise PlateauNotFound(f"no scale produced parameter {param} at denominator cap {max_den}")
+def _plateau(env: _Envelope, param: RationalParameter, max_den: int):
+    """First and last float of param's envelope segment: [0, ...] for 0/1, [..., inf] for 1/1."""
+    k = bisect_left(env.params, param.as_fraction(), key=RationalParameter.as_fraction)
+    if k == len(env.params) or env.params[k] != param:
+        raise PlateauNotFound(f"no scale produced parameter {param} at denominator cap {max_den}")
+    lo, hi = env.breaks[k], env.breaks[k + 1]
+    return max(lo, 0), (math.nextafter(hi, 0.0) if hi < math.inf else hi)
 
 
 def plateau_bounds(
@@ -282,20 +278,16 @@ def plateau_bounds(
 ) -> PlateauEstimate:
     """Scale interval over which the parameter map returns the given value.
 
-    The extremal parameters 0/1 and 1/1 use the closed-form thresholds.  For
-    interior parameters the edges are the exact envelope breakpoints clipped
-    to (t0, t1), the upper one an ulp inward, so both read the parameter and
-    meet any resolution.  No segment, say one merged away, is PlateauNotFound.
+    The edges are the parameter's envelope segment, the upper one an ulp
+    inward, so both read the parameter and meet any resolution.  The plateau
+    of 0/1 starts at 0 and that of 1/1 ends at inf; their finite edges pass
+    t0 and t1 and move with the cap like any other.  No segment, say one
+    merged away, is PlateauNotFound.
     """
     if not resolution > 0:
         raise DomainError("resolution must be positive")
-    th, env = _validated(pair, max_den)
-    if param == RationalParameter(0, 1):
-        return PlateauEstimate(param, 0, th.t0, resolution)
-    if param == RationalParameter(1, 1):
-        return PlateauEstimate(param, th.t1, math.inf, resolution)
-    t_lo, t_hi = _plateau(th, env, param, max_den)
-    return PlateauEstimate(param, t_lo, t_hi, resolution)
+    _, env = _validated(pair, max_den)
+    return PlateauEstimate(param, *_plateau(env, param, max_den), resolution)
 
 
 def counterexample_search(
@@ -313,8 +305,9 @@ def counterexample_search(
     bracket shrinks as the cap grows because finer neighbors with larger
     denominators have narrower plateaus; but it is the cap-N envelope's
     bracket, off by the envelope's float error, so it can miss the preimage
-    of the target.  A rational target at the cap gets its own plateau.  Both
-    ends are clipped to ThresholdPair.inside.
+    of the target.  A rational target at the cap gets its own plateau.  A
+    bracket's ends are clipped to ThresholdPair.inside, which bounds them when
+    a neighbor is 0/1 or 1/1, whose envelope segment is unbounded.
     """
     if not (0 < float(target) < 1):
         raise DomainError(f"target must lie strictly inside (0, 1), got {target}")
@@ -327,7 +320,7 @@ def counterexample_search(
 
     if p_lo == p_hi:
         param = RationalParameter.from_fraction(p_lo)
-        t_lo, t_hi = _plateau(th, env, param, max_den)
+        t_lo, t_hi = _plateau(env, param, max_den)
         bracket = ParameterBracket(param, param, param)
     else:
         # An ulp below the first line with slope >= p- to the last with slope <= p+.

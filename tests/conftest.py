@@ -4,7 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from sturmjsr import Matrix2, MatrixPair, d2_pair, induced_system
+from sturmjsr import (
+    Matrix2,
+    MatrixPair,
+    RationalParameter,
+    d2_pair,
+    induced_system,
+    parameter_map,
+    plateau_bounds,
+)
 from sturmjsr.matrices import spectral_radius
 
 
@@ -101,3 +109,23 @@ def word_value_oracle(pair: MatrixPair, t: float, word: str) -> float:
         prod, log_scale = f.scaled(1.0 / m), log_scale + math.log(m)
     log_scale += word.count("1") * math.log(t)
     return (math.log(spectral_radius(prod)) + log_scale) / len(word)
+
+
+def extremal_edge(pair: MatrixPair, param: RationalParameter, cap: int) -> float:
+    """Finite edge of the plateau of 0/1 or 1/1 at the cap, checked against parameter_map.
+
+    The plateau of 0/1 starts at 0 and that of 1/1 ends at inf.  The finite
+    edge reads the parameter, and the next float outward reads the
+    neighbouring parameter, whose own plateau ends or starts on that float.
+    """
+    top = param == RationalParameter(1, 1)
+    plat = plateau_bounds(pair, param, 1e-9, cap)
+    edge, unbounded, outward = (plat.t_lo, plat.t_hi, 0.0) if top else (plat.t_hi, plat.t_lo, math.inf)
+    assert unbounded == (math.inf if top else 0)
+    assert parameter_map(pair, edge, cap).parameter == param
+    beyond = math.nextafter(edge, outward)
+    neighbour = parameter_map(pair, beyond, cap).parameter
+    assert neighbour != param
+    plat = plateau_bounds(pair, neighbour, 1e-9, cap)
+    assert (plat.t_hi if top else plat.t_lo) == beyond
+    return edge

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from sturmjsr import RationalParameter
 from sturmjsr.cli import main
 from sturmjsr.errors import PairFileError
 from sturmjsr.pairfile import load_pair
+
+from conftest import extremal_edge
 
 REFERENCE = {
     "A0": [["5/8", "3/112"], ["7/8", "15/16"]],
@@ -196,7 +199,10 @@ def test_plateau_command(pair_file, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["t_hi"] == "24/77"
+    # The plateau of 0/1 is its cap-10 envelope segment, past t0 = 24/77.
+    edge = extremal_edge(load_pair(pair_file), RationalParameter(0, 1), 10)
+    assert (doc["t_lo"], doc["t_hi"]) == (0, edge)
+    assert doc["t_hi"] > 24 / 77
 
 
 def test_plateau_of_the_top_parameter_is_unbounded(pair_file, capsys):
@@ -206,7 +212,10 @@ def test_plateau_of_the_top_parameter_is_unbounded(pair_file, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert (doc["t_lo"], doc["t_hi"]) == ("61/8", "inf")
+    # The plateau of 1/1 is its cap-20 envelope segment, from before t1 = 61/8.
+    edge = extremal_edge(load_pair(pair_file), RationalParameter(1, 1), 20)
+    assert (doc["t_lo"], doc["t_hi"]) == (edge, "inf")
+    assert doc["t_lo"] < 61 / 8
 
 
 def test_plateau_not_found_exits_4(pair_file, capsys):

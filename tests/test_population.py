@@ -10,6 +10,9 @@ read at the scales t0^(1-s) t1^s, and three routes must agree there:
 - the Stern-Brocot descent bracket of the matched coordinate c* contains
   the staircase parameter at cap 30.
 
+At cap 30 the plateaus of 0/1 and 1/1 reach past t0 and t1, and every
+other plateau lies strictly between them.
+
 A call may raise only NoConvergence (ROADMAP item 13); the raising calls are
 pinned below by (pair index, s).  At t = 1 the ergodic average of the
 induced function along a mechanical word's periodic orbit must equal the
@@ -17,7 +20,8 @@ word product's value.
 
 The d2 pairs ((1,b;c,1),(1,c;b,1)) are swapped by conjugating with the
 flip, so (A0, A1/t) is (A0, t*A1) mirrored and scaled by 1/t: t0 t1 = 1,
-the parameter at 1/t is 1 minus that at t, and the value drops by log t.
+the parameter at 1/t is 1 minus that at t, the value drops by log t, and
+the finite edges of the plateaus of 0/1 and 1/1 multiply to 1.
 They are drawn with b = i/64, c = j/64 and bc < 1 < c.
 """
 
@@ -41,10 +45,13 @@ from sturmjsr import (
     pair_report,
     parameter_bracket_of_coordinate,
     parameter_map,
+    plateau_bounds,
     thresholds,
 )
-from sturmjsr.errors import NoConvergence
+from sturmjsr.errors import NoConvergence, PlateauNotFound
 from sturmjsr.matrices import word_value
+
+from conftest import extremal_edge
 
 SEED = 12
 COUNT = 40
@@ -141,6 +148,25 @@ def test_descent_bracket_of_c_star_contains_the_staircase_parameter(routes):
         assert bracket.lower.as_fraction() <= p <= bracket.upper.as_fraction(), key
 
 
+def test_extremal_plateaus_reach_past_the_thresholds_and_the_rest_lie_inside(population):
+    # Why the plateaus need no clip to (t0, t1): the 0/1 and 1/1 segments of
+    # the cap-30 envelope reach past t0 and t1, and every interior one lies
+    # within ThresholdPair.inside.
+    interior = [RationalParameter(p, q) for q in range(2, CAP + 1)
+                for p in range(1, q) if math.gcd(p, q) == 1]
+    for i, pair in enumerate(population):
+        th = thresholds(pair)
+        lo, hi = th.inside
+        assert extremal_edge(pair, RationalParameter(0, 1), CAP) > th.t0, i
+        assert extremal_edge(pair, RationalParameter(1, 1), CAP) < th.t1, i
+        for param in interior:
+            try:
+                plat = plateau_bounds(pair, param, 1e-9, CAP)
+            except PlateauNotFound:
+                continue
+            assert lo <= plat.t_lo <= plat.t_hi <= hi, (i, param)
+
+
 def test_ergodic_average_matches_the_word_product(population):
     for i, pair in enumerate(population):
         sys = induced_system(pair)
@@ -170,6 +196,10 @@ def test_d2_pairs_are_symmetric_under_t_to_one_over_t():
             at_t, at_inverse = parameter_map(pair, t, D2_CAP), parameter_map(pair, 1 / t, D2_CAP)
             assert at_inverse.parameter.as_fraction() == 1 - at_t.parameter.as_fraction(), (b, c, s)
             assert abs(at_inverse.value - (at_t.value - math.log(t))) <= 1e-14, (b, c, s)
+        for cap in (10, D2_CAP):
+            e0 = extremal_edge(pair, RationalParameter(0, 1), cap)
+            e1 = extremal_edge(pair, RationalParameter(1, 1), cap)
+            assert abs(e0 * e1 - 1) <= 1e-12, (b, c, cap)
 
 
 @pytest.mark.xfail(

@@ -14,6 +14,7 @@ from sturmjsr import (
     MatrixPair,
     ParameterBracket,
     RationalParameter,
+    certify,
     counterexample_search,
     domination_check,
     gamma_of_t,
@@ -27,12 +28,12 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.dynamics import periodic_point_budget
-from sturmjsr.matrices import spectral_radius
+from sturmjsr.matrices import fixed_point, spectral_radius
 from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
 from sturmjsr.staircase import _sturmian_table, parameter_bracket_of_coordinate
 from sturmjsr.words import stern_brocot_words
 
-from conftest import mp_periodic_point, random_positive_matrix, word_value_oracle
+from conftest import extremal_edge, mp_periodic_point, random_positive_matrix, word_value_oracle
 
 
 def test_parameter_map_regimes(reference_pair):
@@ -197,12 +198,41 @@ def test_scan_validates_arguments(reference_pair):
         staircase_scan(reference_pair, 0.5, 1.0, 1, 10)
 
 
-def test_plateau_extremal_closed_forms(reference_pair):
-    plat0 = plateau_bounds(reference_pair, RationalParameter(0, 1), 1e-9, 50)
-    assert plat0.t_hi == F(24, 77)
-    plat1 = plateau_bounds(reference_pair, RationalParameter(1, 1), 1e-9, 50)
-    assert plat1.t_lo == F(61, 8)
-    assert math.isinf(float(plat1.t_hi))
+def test_plateau_extremal_edges_are_envelope_segments(reference_pair):
+    # The plateau of 0/1 runs past t0 = 24/77 and that of 1/1 starts before
+    # t1 = 61/8; at cap 1 the two lines meet at t = 1, where r(A0) = r(A1) = 1.
+    for pair in (reference_pair, reference_pair.to_float()):
+        for cap in (1, 50, 150):
+            e0 = extremal_edge(pair, RationalParameter(0, 1), cap)
+            e1 = extremal_edge(pair, RationalParameter(1, 1), cap)
+            assert F(24, 77) < e0 < e1 < F(61, 8), (cap, e0, e1)
+        assert abs(extremal_edge(pair, RationalParameter(0, 1), 1) - 1) < 1e-15
+
+
+@pytest.mark.parametrize("offset", [1e-4, 1e-6])
+@pytest.mark.parametrize("name", ["reference_pair", "symmetric_pair"])
+def test_extremal_edges_are_where_c_star_meets_the_fixed_points(request, name, offset):
+    # Second route to the edges at cap 150: the matched coordinate c* of
+    # certify passes x0 at the edge of 0/1 and x1 at the edge of 1/1, and the
+    # descent reads 0/1 below x0 and 1/1 above x1.
+    pair = request.getfixturevalue(name)
+    sys = induced_system(pair)
+    # sign is the side of the edge, and of x_i, on which the plateau lies.
+    for param, x_i, sign in ((RationalParameter(0, 1), float(fixed_point(pair.A0)), -1),
+                             (RationalParameter(1, 1), float(fixed_point(pair.A1)), 1)):
+        edge = extremal_edge(pair, param, 150)
+        c_in = certify(pair, edge * (1 + sign * offset)).c
+        c_out = certify(pair, edge * (1 - sign * offset)).c
+        assert sign * (c_in - x_i) > 0 > sign * (c_out - x_i), (param, c_in, c_out, x_i)
+        assert parameter_bracket_of_coordinate(sys, c_in).exact == param, (param, c_in)
+
+
+def test_d2_extremal_edges_are_reciprocal(symmetric_pair):
+    # (A0, A1/t) is (A0, t*A1) mirrored, so the edges of 0/1 and 1/1 multiply to 1.
+    for cap in (10, 40, 150):
+        e0 = extremal_edge(symmetric_pair, RationalParameter(0, 1), cap)
+        e1 = extremal_edge(symmetric_pair, RationalParameter(1, 1), cap)
+        assert abs(e0 * e1 - 1) <= 1e-12, (cap, e0 * e1 - 1)
 
 
 def test_plateau_half_width(reference_pair):
