@@ -4,34 +4,57 @@ The log of the joint spectral radius of (A0, t*A1) is the supremum over
 finite binary words w of (1/|w|) log r(A_t(w)).  The spectral radius of a
 product is a class function of the word's necklace, so the brute force
 enumerates one representative per primitive necklace (Lyndon words, via
-Duval's generator) instead of all 2^n words.  Consecutive Lyndon words share
+Duval's successor) instead of all 2^n words.  Consecutive Lyndon words share
 long prefixes, whose lengths Duval's successor fixes, and the float walk of
 matrices multiplies only the letters past them.  The ergodic-average route
 sums the induced function along the periodic orbit of the word and must
 agree with the product's spectral radius, so each can check the other.
+
+The walk is a branch and bound over the tree of Lyndon words, in which a
+word's children are the Lyndon words it is a proper prefix of.  The
+column-sum norm ||.||_1 is submultiplicative and bounds the spectral
+radius, so a word wv of length m has value at most
+(log ||A_t(w)||_1 + L_{m-|w|}) / m, where L_j is the log of the largest
+column-sum norm over products of j letters.  When that bound stays below
+the running best by the tie tolerance less a margin, for every m up to
+max_len, no extension of w can become the best, and the walk jumps past
+all of them.  Only the walk's own running best sets the bar, and it only
+rises, so a skipped word could not have replaced the best when its turn
+came: the chain of interim bests, and with it the tie rule's choice, is
+the same as that of the full walk.  The margin covers the float error of
+the bound and of a walked value.  Each is a sum of at most two logs of
+floats per letter, and a log of a float is at most 745 in size, so each is
+off by less than 2e-13 per letter of the longest word: far below the
+margin of 1e-9 (1 + |best|) at any max_len the walk can reach.
 
 Upper bounds come from the entrywise sum norm, which is submultiplicative,
 so every product length yields a valid bound and the minimum over lengths
 is reported.  For positive matrices the sum norm of A_w is 1^T A_w 1, so
 only the row vectors 1^T A_w matter, and of those only the vertices of the
 upper-right convex hull can carry a level maximum now or after any right
-extension.
+extension.  The entries of 1^T A_w are the column sums of A_w, so the same
+hull gives each L_j as well.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynamics import InducedSystem, class_d_system, f_eval, induced_system, periodic_orbit
 from .errors import DomainError, EmptyWord, NonPositiveMatrix
-from .matrices import MatrixPair, _walk, word_value, word_values
+from .matrices import MatrixPair, Row, _walk, word_value, word_values
 from .scalar import Number, check_scale
 from .words import RationalParameter, is_balanced, mechanical_word, stern_brocot_words
 
 VALUE_TIE_TOL = 1e-12
+
+# A subtree is skipped only when its bound clears best + VALUE_TIE_TOL by
+# this much per unit of 1 + |best|, to cover the float error of the bound
+# and of a walked value.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,6 +72,19 @@ class JsrEstimate:
     max_length: int
 
 
+def _successor(word: str, n: int) -> str:
+    """Duval's successor: the next Lyndon word of length <= n after word, "" after "1".
+
+    Repeat word out to n, drop the trailing 1s, raise the last 0 to 1.  With
+    n = len(word) that gives word up to its last 0, then a 1: the first
+    Lyndon word of any length past those that start with word, since a word
+    between the two would start with word up to its last 0 and, being above
+    word, go on with word's 1s.
+    """
+    w = (word * (n // len(word) + 1))[:n].rstrip("1")
+    return w[:-1] + "1" if w else ""
+
+
 def lyndon_words(max_len: int) -> Iterator[str]:
     """All binary Lyndon words of length <= max_len in lexicographic order.
 
@@ -61,25 +97,7 @@ def lyndon_words(max_len: int) -> Iterator[str]:
     w = "0"
     while w:
         yield w
-        # Duval: repeat w out to max_len, drop trailing 1s, raise the last 0.
-        w = (w * (max_len // len(w) + 1))[:max_len].rstrip("1")
-        if w:
-            w = w[:-1] + "1"
-
-
-def _duval_steps(words: Iterator[str]) -> Iterator[tuple[int, str]]:
-    """(k, word) for consecutive Lyndon words, k the length of the prefix shared with the last.
-
-    Duval's successor repeats the previous word out to max_len, cuts it
-    after its last 0 and raises that 0 to 1.  So w[:-1] runs along prev,
-    and on past prev's end, and w's last letter differs from prev's letter
-    in that place, if prev has one: k is min(len(prev), len(w) - 1).
-    """
-    prev = 0
-    for word in words:
-        n = len(word)
-        yield (prev if prev < n else n - 1), word
-        prev = n
+        w = _successor(w, max_len)
 
 
 def _check_bruteforce_args(pair: MatrixPair, t: Number, max_len: int) -> None:
@@ -100,14 +118,56 @@ def jsr_lower_bruteforce(
     word_value, since word_value's product comes from the same walk.  The
     parameter field is the reduced letter frequency of the winner when that
     word is balanced, and None otherwise.
+
+    After each word w shorter than max_len the walk reads log ||A_t(w)||_1
+    off w's row of the stack.  L_j, the log of the largest column-sum norm
+    of a product of j letters, comes off the hull levels that also give the
+    upper bound, so those are built once.  When
+    (log ||A_t(w)||_1 + L_{m-|w|}) / m <= best + 1e-12 - 1e-9 (1 + |best|)
+    for every m in (|w|, max_len], best the running best, the walk skips
+    w's extensions.  None of them could have passed best + 1e-12 when its
+    turn came, since best only rises, so the chain of interim bests and the
+    tie rule's pick are the full walk's, bit for bit.  The margin is far
+    above the float error of the bound and of a value, below 2e-13 per
+    letter (see the module docstring).
     """
     _check_bruteforce_args(pair, t, max_len)
-    best_value = -math.inf
-    best_word = ""
-    words, walked = itertools.tee(lyndon_words(max_len))
-    for word, value in zip(words, _walk(pair, t, _duval_steps(walked), [])):
+    levels, shift = _norm_levels(pair, t, max_len)
+    # L_j for j = 1, ..., max_len; a level lost to overflow (inf or nan) bounds nothing.
+    col_norms = [c + j * shift if c < math.inf else math.inf for j, (_, c) in enumerate(levels, 1)]
+    log_t = math.log(float(t))
+    stack: list[Row] = []
+    best_value, best_word, word = -math.inf, "", "0"
+    bar = -math.inf
+    # floors[n]: the largest log ||A_t(w)||_1 of a word w of length n whose
+    # extensions cannot pass the bar, filled in as needed for each new bar.
+    floors: list[Optional[float]] = [None] * max_len
+
+    def steps() -> Iterator[tuple[int, str]]:
+        # (k, word), k the prefix shared with the word before, as Duval's
+        # successor fixes it.  Each step is drawn once _walk has put the last
+        # word's product on the stack and the loop below has weighed its value.
+        nonlocal word
+        k = 0
+        while word:
+            yield k, word
+            n = len(word)
+            beaten = False
+            if n < max_len:
+                if floors[n] is None:
+                    floors[n] = min(
+                        (n + j) * bar - col_norms[j - 1] for j in range(1, max_len - n + 1)
+                    )
+                a, b, c, d, s, ones = stack[-1]
+                beaten = math.log(max(a + c, b + d)) + s + ones * log_t <= floors[n]
+            nxt = _successor(word, n if beaten else max_len)
+            word, k = nxt, min(n, len(nxt) - 1)
+
+    for value in _walk(pair, t, steps(), stack):
         if value > best_value + VALUE_TIE_TOL:
             best_value, best_word = value, word
+            bar = best_value + VALUE_TIE_TOL - _PRUNE_MARGIN * (1 + abs(best_value))
+            floors = [None] * max_len
 
     param = None
     if is_balanced(best_word):
@@ -115,10 +175,9 @@ def jsr_lower_bruteforce(
         g = math.gcd(ones, len(best_word))
         param = RationalParameter(ones // g, len(best_word) // g)
 
-    upper = jsr_upper_norm(pair, t, max_len) if compute_upper else None
     return JsrEstimate(
         lower=best_value,
-        upper=upper,
+        upper=_sum_norm_bound(levels, shift) if compute_upper else None,
         argmax_word=best_word,
         argmax_parameter=param,
         max_length=max_len,
@@ -145,21 +204,23 @@ def _upper_right_hull(points: list[tuple[float, float]]) -> list[tuple[float, fl
     return hull
 
 
-def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
-    """min over n <= max_len of (1/n) log max over |w| = n of the sum norm.
+def _norm_levels(
+    pair: MatrixPair, t: Number, max_len: int
+) -> tuple[list[tuple[float, float]], float]:
+    """Per length n <= max_len, the logs of the largest sum norm and column-sum norm.
 
-    The entrywise sum norm is submultiplicative, so every length gives a
-    valid upper bound.  For positive matrices it equals 1^T A_w 1, and the
-    level-n row vectors 1^T A_w come from level n-1 by right multiplication
-    with A0 or t*A1.  A vector off the upper-right convex hull of its level
-    never maximizes a positive functional, and right extensions only apply
-    positive functionals, so each level keeps just those hull vertices, with
-    one common log scale per level.  Only the first level is not scaled, and
-    where its products overflow it is scaled by a power of two, exactly.
+    The level-n row vectors 1^T A_w come from level n-1 by right
+    multiplication with A0 or t*A1.  A vector off the upper-right convex
+    hull of its level never maximizes a positive functional, and right
+    extensions only apply positive functionals, so each level keeps just
+    those hull vertices, with one common log scale per level.  The hull's
+    ends are the highest and the rightmost vertex, so it keeps the largest
+    column sum too.  Only the first level is not scaled, and where its
+    products overflow or underflow it is scaled by a power of two, exactly.
     Where the first level itself overflows, both generators are scaled by
-    2^-k, k the exponent of t, and each bound gains k log 2 back.
+    2^-k, k the exponent of t; the second value returned is then k log 2,
+    which the logs of products of n letters lack n times, and 0 otherwise.
     """
-    _check_bruteforce_args(pair, t, max_len)
     tf, k_gens = float(t), 0
     A0, A1 = pair.A0.to_float(), pair.A1.to_float()
     gens = (A0, A1.scaled(tf))
@@ -172,21 +233,43 @@ def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
         return [(x * A.a + y * A.c, x * A.b + y * A.d) for x, y in level for A in gens]
 
     log_scale = 0.0
-    best = math.inf
+    levels = []
     for n in range(1, max_len + 1):
-        best = min(best, (math.log(max(x + y for x, y in level)) + log_scale) / n)
+        levels.append((
+            math.log(max(x + y for x, y in level)) + log_scale,
+            math.log(max(max(v) for v in level)) + log_scale,
+        ))
         if n < max_len:
             nxt = grow()
             m = max(max(v) for v in nxt)
-            if m == math.inf:  # only the unscaled first level can overflow
+            # Only the unscaled first level's products can leave the normal range.
+            if not sys.float_info.min <= m < math.inf:
                 k = math.frexp(max(max(v) for v in level))[1]
                 level = [(math.ldexp(x, -k), math.ldexp(y, -k)) for x, y in level]
-                nxt, log_scale = grow(), k * math.log(2)
+                nxt = grow()
+                log_scale += k * math.log(2)
                 m = max(max(v) for v in nxt)
             r = 1.0 / m
             level = _upper_right_hull([(x * r, y * r) for x, y in nxt])
             log_scale += math.log(m)
-    return best + k_gens * math.log(2)
+    return levels, k_gens * math.log(2)
+
+
+def _sum_norm_bound(levels: list[tuple[float, float]], shift: float) -> float:
+    """min over n of the level-n log sum norm over n, with the generators' scale put back."""
+    return min(s / n for n, (s, _) in enumerate(levels, start=1)) + shift
+
+
+def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
+    """min over n <= max_len of (1/n) log max over |w| = n of the sum norm.
+
+    The entrywise sum norm is submultiplicative, so every length gives a
+    valid upper bound.  For positive matrices it equals 1^T A_w 1, and the
+    level maxima come from the upper-right hulls of the row vectors 1^T A_w
+    (see _norm_levels), which stay finite up to the largest float t.
+    """
+    _check_bruteforce_args(pair, t, max_len)
+    return _sum_norm_bound(*_norm_levels(pair, t, max_len))
 
 
 def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> float:
@@ -224,10 +307,10 @@ def sturmian_restricted_max(
     class_d_system(pair, t)
     if max_den < 1:
         raise DomainError(f"max_den must be at least 1, got {max_den}")
-    params, words = itertools.tee(stern_brocot_words(max_den))
-    values = word_values(pair.to_float(), float(t), (word for _, _, word in words))
+    rows = list(stern_brocot_words(max_den))
+    values = word_values(pair.to_float(), float(t), (word for _, _, word in rows))
     best: tuple[RationalParameter, float] | None = None
-    for (q, p), value in sorted(zip(((q, p) for p, q, _ in params), values)):
+    for (q, p), value in sorted(zip(((q, p) for p, q, _ in rows), values)):
         if best is None or value > best[1] + VALUE_TIE_TOL:
             best = (RationalParameter(p, q), value)
     assert best is not None

@@ -26,11 +26,14 @@ from sturmjsr.errors import (
     NotInClassC,
     NotInClassD,
 )
-from sturmjsr.jsr import VALUE_TIE_TOL, lyndon_words
+import sturmjsr.jsr as jsr_module
+from sturmjsr.jsr import VALUE_TIE_TOL, _successor, lyndon_words
 from sturmjsr.matrices import Matrix2, MatrixPair, spectral_radius, word_value
 from sturmjsr.staircase import _envelope
 
 from conftest import random_positive_matrix, word_value_oracle
+
+_WALK = jsr_module._walk
 
 
 def _necklace_min(word: str) -> str:
@@ -128,17 +131,31 @@ def _bracket_cases(reference_pair, symmetric_pair):
     return cases
 
 
+def _full_walk(pair, t, max_len, value=word_value_oracle):
+    """(lower, argmax_word) of every Lyndon word's value under the tie rule, nothing skipped."""
+    fpair = pair.to_float()
+    best_value, best_word = -math.inf, ""
+    for word in lyndon_words(max_len):
+        v = value(fpair, t, word)
+        if v > best_value + VALUE_TIE_TOL:
+            best_value, best_word = v, word
+    return best_value, best_word
+
+
 def test_lower_walk_matches_word_value_route(reference_pair, symmetric_pair):
     for pair, t in _bracket_cases(reference_pair, symmetric_pair):
-        fpair = pair.to_float()
         for n in range(1, 13):
-            best_value, best_word = -math.inf, ""
-            for word in lyndon_words(n):
-                value = word_value_oracle(fpair, t, word)
-                if value > best_value + VALUE_TIE_TOL:
-                    best_value, best_word = value, word
             est = jsr_lower_bruteforce(pair, t, n, compute_upper=False)
-            assert (est.lower, est.argmax_word) == (best_value, best_word), (pair, t, n)
+            assert (est.lower, est.argmax_word) == _full_walk(pair, t, n), (pair, t, n)
+
+
+def test_skip_successor_passes_exactly_the_extensions():
+    # Duval's successor at n = len(w) is the first Lyndon word past w's subtree.
+    for max_len in range(1, 15):
+        words = list(lyndon_words(max_len))
+        for i, w in enumerate(words):
+            after = next((u for u in words[i + 1:] if not u.startswith(w)), "")
+            assert _successor(w, len(w)) == after, (max_len, w)
 
 
 # float.hex of lower and upper, and the argmax word, at max_len 16.
@@ -150,18 +167,80 @@ PINNED_ESTIMATES = {
 }
 
 
-@pytest.mark.parametrize("case", list(PINNED_ESTIMATES))
-def test_bruteforce_bits_are_pinned(reference_pair, symmetric_pair, case):
-    # A change that moves any bit of these estimates must say so here.
+def _pinned_case(reference_pair, symmetric_pair, case):
     th = thresholds(reference_pair)
-    pair, t = {
+    return {
         "reference-t-1": (reference_pair, F(1)),
         "reference-t0-half": (reference_pair, th.t0 / 2),
         "reference-2-t1": (reference_pair, 2 * th.t1),
         "d2-t-3/2": (symmetric_pair, F(3, 2)),
+        # w and its complement tie within VALUE_TIE_TOL here: the tie rule decides.
+        "d2-t-1": (symmetric_pair, F(1)),
     }[case]
+
+
+@pytest.mark.parametrize("case", list(PINNED_ESTIMATES))
+def test_bruteforce_bits_are_pinned(reference_pair, symmetric_pair, case):
+    # A change that moves any bit of these estimates must say so here.
+    pair, t = _pinned_case(reference_pair, symmetric_pair, case)
     est = jsr_lower_bruteforce(pair, t, 16)
     assert (est.lower.hex(), est.upper.hex(), est.argmax_word) == PINNED_ESTIMATES[case]
+
+
+@pytest.mark.parametrize("case", [*PINNED_ESTIMATES, "d2-t-1"])
+def test_skipped_subtrees_leave_the_estimate_as_the_full_walk_has_it(
+    reference_pair, symmetric_pair, case
+):
+    pair, t = _pinned_case(reference_pair, symmetric_pair, case)
+    est = jsr_lower_bruteforce(pair, t, 16, compute_upper=False)
+    assert (est.lower, est.argmax_word) == _full_walk(pair, t, 16, value=word_value)
+
+
+def _walked_words(monkeypatch, pair, t, max_len):
+    """The words jsr_lower_bruteforce hands to _walk, in order."""
+    words = []
+
+    def recording(pair, t, steps, stack):
+        def record():
+            for k, word in steps:
+                words.append(word)
+                yield k, word
+        return _WALK(pair, t, record(), stack)
+
+    monkeypatch.setattr(jsr_module, "_walk", recording)
+    jsr_lower_bruteforce(pair, t, max_len, compute_upper=False)
+    return words
+
+
+@pytest.mark.parametrize("case, most", [("reference-t0-half", 88), ("reference-2-t1", 1760)])
+def test_norm_bound_skips_most_words_outside_the_thresholds(
+    reference_pair, symmetric_pair, monkeypatch, case, most
+):
+    # Of the 8,800 Lyndon words of length <= 16, at most 1 % are walked at
+    # t0/2 and at most 20 % at 2 t1.
+    pair, t = _pinned_case(reference_pair, symmetric_pair, case)
+    assert 0 < len(_walked_words(monkeypatch, pair, t, 16)) <= most
+
+
+def test_the_walk_skips_only_subtrees_off_the_chain_of_bests(
+    reference_pair, symmetric_pair, monkeypatch
+):
+    # Each skipped word extends the last word walked before it, and the full
+    # walk would not have taken it as a new best.
+    for pair, t in ((reference_pair, F(1)), (symmetric_pair, F(3, 2)), (symmetric_pair, F(1))):
+        walked = _walked_words(monkeypatch, pair, t, 14)
+        seen = set(walked)
+        assert len(seen) == len(walked) < 2538
+        fpair, best, last = pair.to_float(), -math.inf, ""
+        for word in lyndon_words(14):
+            value = word_value(fpair, t, word)
+            if word in seen:
+                last = word
+            else:
+                assert word.startswith(last) and value <= best + VALUE_TIE_TOL, (t, word)
+            if value > best + VALUE_TIE_TOL:
+                best = value
+        assert walked == [w for w in lyndon_words(14) if w in seen]
 
 
 def _exhaustive_sum_norm_bounds(pair, t, max_len):
@@ -203,6 +282,20 @@ def test_bracket_property(entries, t, max_len):
     assert est.lower <= est.upper + 1e-12
     w = est.argmax_word
     assert len(w) <= max_len and _is_primitive(w) and w == _necklace_min(w)
+    assert (est.lower, w) == _full_walk(pair, t, max_len)
+
+
+@pytest.mark.parametrize("scale_a0", [1.0, 1e308])
+def test_skipped_subtrees_where_the_first_level_overflows(reference_pair, scale_a0):
+    # At t = 1e308 the hull levels scale the generators by 2^-k, and the
+    # column-sum bounds of their products gain n k log 2 back.  With A0 scaled
+    # up as well the pair is the reference pair at t = 1, times 1e308, and
+    # "01" wins only if the bound does so.
+    A0 = reference_pair.A0.to_float().scaled(scale_a0)
+    pair = MatrixPair(A0, reference_pair.A1.to_float())
+    est = jsr_lower_bruteforce(pair, 1e308, 10)
+    assert (est.lower, est.argmax_word) == _full_walk(pair, 1e308, 10)
+    assert est.argmax_word == ("01" if scale_a0 > 1 else "1")
 
 
 @pytest.mark.parametrize("t", [1e154, 1e200, 1e300])
@@ -226,6 +319,17 @@ def test_upper_norm_where_the_first_level_overflows(reference_pair, t):
     assert math.isfinite(est.upper) and est.lower <= est.upper
     far = jsr_upper_norm(reference_pair, 1e300, 10) - math.log(1e300)
     assert abs((est.upper - math.log(t)) - far) <= 1e-12
+
+
+def test_bounds_where_the_first_level_underflows(reference_pair):
+    # Scaled by 1e-300, A0 and t*A1 have products below the smallest float,
+    # so the first level is rescaled, as where they overflow.  The pair is
+    # the reference pair at t = 1, times 1e-300.
+    pair = MatrixPair(reference_pair.A0.to_float().scaled(1e-300), reference_pair.A1.to_float())
+    est = jsr_lower_bruteforce(pair, 1e-300, 10)
+    assert (est.lower, est.argmax_word) == _full_walk(pair, 1e-300, 10)
+    want = jsr_upper_norm(reference_pair, 1, 10) + math.log(1e-300)
+    assert abs(est.upper - want) <= 1e-12 * abs(want)
 
 
 def test_upper_norm_rejects_signed_entries():
