@@ -13,12 +13,14 @@ tau^n is an ordered union of subintervals, each inside one branch interval,
 so the n-th term is a sum of endpoint differences of f.  A piece carries its
 domain interval, the Moebius coefficients of tau^n there (scaled to largest
 modulus 1), and its two image endpoints, computed once when the piece is
-made; the point loop reads it flattened with the f constants of the branch
-its image lies in.  The pieces do not depend on the evaluation points, so
-one sweep serves any number of them, and f at a piece's lower image end is
-evaluated once per term for all the points in it.  The sum stops once the
-rigorous tail bound (total image length) * sup|f'| is below tail_tol, 1e-12
-unless the caller gives another.
+made.  The pieces do not depend on the evaluation points, so one sweep
+serves any number of them.  The points are sorted once, and the piece
+domains tile [0, 1] in order, so the points in one piece are one slice of
+them: two bisections find the slice and one pass adds the term to each of
+its points.  f at the piece's lower image end, and the sum over the whole
+pieces before it, are evaluated once per term, not once per point.  The
+sum stops once the rigorous tail bound (total image length) * sup|f'| is
+below tail_tol, 1e-12 unless the caller gives another.
 
 The grid runs in floats with the bits of apply_T and f_eval on any pair,
 exact or float.  Mixed Fraction/float arithmetic rounds a subexpression
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,10 +148,15 @@ def _phi_batch(
     moebius map being the restriction of tau^n to the domain interval.  The
     n-th series term for a point z is the sum of f-endpoint differences over
     the pieces of tau^n([0, z]); f is taken up to a per-branch additive
-    constant, which cancels in the differences.  The point loop reads each
-    piece flattened to (dom_hi, p, q, r, s, alpha, sigma) of its branch,
-    read from sys.branch_floats.  The sum stops once the tail bound is below
-    tail_tol, and SERIES_MAX_DEPTH terms without that raise NoConvergence.
+    constant, which cancels in the differences.  Each term's pieces become
+    runs (p, q, r, s, alpha, sigma, prefix, f_lo), listed with their domain
+    lows: alpha and sigma of the branch read from sys.branch_floats, prefix
+    the sum over the whole pieces before the run, f_lo its f at img_lo.  The
+    points z > 0, clamped to 1 and sorted once, take the run whose domain
+    low is the last at or below them, one slice of points per run (phi is 0
+    at the other points); the sums go back in the order of zs.  The sum
+    stops once the tail bound is below tail_tol, and SERIES_MAX_DEPTH terms
+    without that raise NoConvergence.
     """
     _check_tail_tol(tail_tol)
     cf = float(c)
@@ -161,15 +168,16 @@ def _phi_batch(
     branches, sup_fp = sys.branch_floats, sys.f_prime_sup
     log = math.log
 
+    order = sorted((k for k, z in enumerate(zs) if z > 0.0), key=zs.__getitem__)
+    # The last piece ends at 1.0 in every term, so a z above 1 is its end.
+    points = [min(zs[k], 1.0) for k in order]
+    sums = [0.0] * len(points)
     pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 1.0)]
-    phi = [0.0] * len(zs)
 
     for _ in range(SERIES_MAX_DEPTH):
         new_pieces = []
-        flat = []
-        dlos = []
-        f_los = []
-        prefix = [0.0]
+        los = []
+        runs = []
         total_len = 0.0
         acc = 0.0
         for dlo, dhi, m, img_lo, img_hi in pieces:
@@ -198,27 +206,31 @@ def _phi_batch(
                 nm = (p / norm, q / norm, r / norm, s / norm)
                 new_lo, new_hi = _moebius(nm, lo), _moebius(nm, hi)
                 new_pieces.append((lo, hi, nm, new_lo, new_hi))
-                flat.append((hi, *nm, alpha, sigma))
                 f_lo = -log(abs(alpha * (new_lo + sigma)))
-                dlos.append(lo)
-                f_los.append(f_lo)
+                los.append(lo)
+                runs.append((*nm, alpha, sigma, acc, f_lo))
                 acc += -log(abs(alpha * (new_hi + sigma))) - f_lo
-                prefix.append(acc)
                 total_len += new_hi - new_lo
         pieces = new_pieces
 
-        for k, z in enumerate(zs):
-            if z <= 0.0:
-                continue
-            idx = bisect_right(dlos, z) - 1
-            if idx < 0:
-                continue
-            dhi, p, q, r, s, alpha, sigma = flat[idx]
-            y = z if z < dhi else dhi
-            y = (p * y + q) / (r * y + s)
-            phi[k] += prefix[idx] - log(abs(alpha * (y + sigma))) - f_los[idx]
+        # The domains tile [0, 1] in order, so a run's points are a slice: from
+        # the first point left, whose run is the last to start at or below it,
+        # to the first point at or past the next run's start (inf after the last).
+        los.append(math.inf)
+        start = 0
+        while start < len(points):
+            k = bisect_right(los, points[start]) - 1
+            end = bisect_left(points, los[k + 1], start)
+            p, q, r, s, alpha, sigma, prefix, f_lo = runs[k]
+            for j in range(start, end):
+                y = points[j]
+                sums[j] += (prefix - log(abs(alpha * ((p * y + q) / (r * y + s) + sigma)))) - f_lo
+            start = end
 
         if total_len * sup_fp < tail_tol:
+            phi = [0.0] * len(zs)
+            for k, v in zip(order, sums):
+                phi[k] = v
             return phi
     raise NoConvergence(
         f"transfer series not below tail tolerance after {SERIES_MAX_DEPTH} terms"

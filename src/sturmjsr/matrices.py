@@ -25,6 +25,7 @@ numbers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -247,6 +248,11 @@ def _normalised(prod: Entries) -> tuple[Entries, float]:
     return (r * a, r * b, r * c, r * d), math.log(m)
 
 
+# A normalized row has entries of modulus at most (1 + 2^-53)^2, so its
+# product with a factor whose column sums of |entries| stay below this cap
+# stays below the float maximum.
+_COLUMN_SUM_CAP = sys.float_info.max * (1 - 2.0**-48)
+
 # One prefix of a walked word: its normalized product (a, b, c, d), the sum
 # of the logs normalized out of it, and its count of 1s.
 Row = tuple[float, float, float, float, float, int]
@@ -264,9 +270,14 @@ def _walk(
     is w's product.  Each prefix is stepped the same way whatever word it
     came from, so a value's bits do not depend on the words walked before
     it.  The scale of t enters only through the count of 1s, after the
-    product.
+    product.  A factor with a column whose |entries| sum past
+    _COLUMN_SUM_CAP is a DomainError, checked once: past it a product entry
+    can overflow to inf, and the normalization step would turn it to nan.
     """
     f0, f1 = pair.A0.to_float().entries(), pair.A1.to_float().entries()
+    for e, f, g, h in (f0, f1):
+        if not max(abs(e) + abs(g), abs(f) + abs(h)) <= _COLUMN_SUM_CAP:
+            raise DomainError(f"a product with {(e, f, g, h)} can overflow the float range")
     (e0, s0), (e1, s1) = _normalised(f0), _normalised(f1)
     firsts = {"0": (*e0, s0, 0), "1": (*e1, s1, 1)}
     factors = {"0": (*f0, 0), "1": (*f1, 1)}

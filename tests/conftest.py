@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from sturmjsr import (
     Matrix2,
@@ -10,6 +11,7 @@ from sturmjsr import (
     RationalParameter,
     d2_pair,
     induced_system,
+    pair_report,
     parameter_map,
     plateau_bounds,
 )
@@ -64,6 +66,30 @@ def random_positive_matrix(rng: random.Random) -> Matrix2:
 
 def random_rational(rng: random.Random, lo=1, hi=40) -> F:
     return F(rng.randint(lo, hi), rng.randint(lo, hi))
+
+
+def random_matrix_64(rng: random.Random) -> Matrix2:
+    """Entries p/q with p and q uniform in 1..64, resampled until the determinant is positive."""
+    while True:
+        m = Matrix2(*(random_rational(rng, 1, 64) for _ in range(4)))
+        if m.det() > 0:
+            return m
+
+
+def random_class_d_pair(rng: random.Random) -> MatrixPair:
+    """Pairs of random_matrix_64 draws until pair_report puts one in class D.
+
+    The class checks are exact, so the filter needs no tolerance.
+    """
+    while True:
+        pair = MatrixPair(random_matrix_64(rng), random_matrix_64(rng))
+        if pair_report(pair).in_D:
+            return pair
+
+
+def class_d_pairs() -> st.SearchStrategy[MatrixPair]:
+    """Hypothesis strategy: the random_class_d_pair of a drawn seed."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: random_class_d_pair(random.Random(seed)))
 
 
 def mp_periodic_point(mpmath, pair, word: str):

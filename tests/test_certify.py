@@ -1,9 +1,12 @@
 import importlib
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmjsr import (
     Domination,
@@ -25,13 +28,15 @@ from sturmjsr import (
     thresholds,
 )
 from sturmjsr.certify import (
+    SERIES_MAX_DEPTH,
     _brent,
     _grid_pass,
+    _moebius,
     _phi_batch,
     delta_extremal_ratio,
     endpoint_ratio_log,
 )
-from sturmjsr.dynamics import apply_T, f_eval, sturmian_interval_endpoints
+from sturmjsr.dynamics import MEMBER_TOL, apply_T, f_eval, sturmian_interval_endpoints
 from sturmjsr.errors import (
     DomainError,
     NoConvergence,
@@ -40,8 +45,9 @@ from sturmjsr.errors import (
     NotInClassD,
     OutOfInteriorRange,
 )
+from sturmjsr.matrices import _product
 
-from conftest import random_rational
+from conftest import class_d_pairs, random_rational
 
 
 def _class_pairs(rng, count):
@@ -101,6 +107,105 @@ def test_phi_batch_values_do_not_depend_on_the_other_points(reference_system, sy
                 assert value.hex() == _phi_batch(sys, c, [z])[0].hex(), (c, z)
             v_end, v0, v1 = batch[4:7]
             assert delta_numeric(sys, c).hex() == (v_end - (v0 - v1)).hex()
+
+
+def _phi_batch_oracle(sys, c, zs, tail_tol=1e-12):
+    """_phi_batch point by point: each z finds its piece by bisect_right over the piece lows.
+
+    The pieces are built as _phi_batch builds them; each point then reads
+    its piece's last domain low at or below it and clamps to the piece's
+    high end, term by term, in the order of zs.
+    """
+    cf = float(c)
+    branches, sup_fp = sys.branch_floats, sys.f_prime_sup
+    pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 1.0)]
+    phi = [0.0] * len(zs)
+    for _ in range(SERIES_MAX_DEPTH):
+        new_pieces, flat, dlos, f_los, prefix = [], [], [], [], [0.0]
+        total_len = acc = 0.0
+        for dlo, dhi, m, img_lo, img_hi in pieces:
+            if img_hi < cf:
+                splits = ((dlo, dhi, 1),)
+            elif img_lo >= cf:
+                splits = ((dlo, dhi, 0),)
+            else:
+                p, q, r, s = m
+                sx = min(max((s * cf - q) / (-r * cf + p), dlo), dhi)
+                splits = ((dlo, sx, 1), (sx, dhi, 0))
+            for lo, hi, branch in splits:
+                if hi <= lo:
+                    continue
+                tau, alpha, sigma = branches[branch][2:5]
+                p, q, r, s = _product(tau, m)
+                norm = max(abs(p), abs(q), abs(r), abs(s))
+                nm = (p / norm, q / norm, r / norm, s / norm)
+                new_lo, new_hi = _moebius(nm, lo), _moebius(nm, hi)
+                new_pieces.append((lo, hi, nm, new_lo, new_hi))
+                flat.append((hi, *nm, alpha, sigma))
+                f_lo = -math.log(abs(alpha * (new_lo + sigma)))
+                dlos.append(lo)
+                f_los.append(f_lo)
+                acc += -math.log(abs(alpha * (new_hi + sigma))) - f_lo
+                prefix.append(acc)
+                total_len += new_hi - new_lo
+        pieces = new_pieces
+        for k, z in enumerate(zs):
+            if z <= 0.0:
+                continue
+            idx = bisect_right(dlos, z) - 1
+            dhi, p, q, r, s, alpha, sigma = flat[idx]
+            y = z if z < dhi else dhi
+            y = (p * y + q) / (r * y + s)
+            phi[k] += prefix[idx] - math.log(abs(alpha * (y + sigma))) - f_los[idx]
+        if total_len * sup_fp < tail_tol:
+            return phi
+    raise AssertionError("the oracle series did not converge")
+
+
+@pytest.mark.parametrize("kind", ["reference", "d2", "float-reference"])
+def test_phi_batch_matches_the_point_by_point_oracle(reference_pair, symmetric_pair, kind):
+    # The first term splits [0, 1] at c, so z = c and its float neighbours
+    # sit on either side of the first piece boundary.
+    pair = {
+        "reference": reference_pair,
+        "d2": symmetric_pair,
+        "float-reference": reference_pair.to_float(),
+    }[kind]
+    sys = induced_system(pair)
+    rng = random.Random(36)
+    for c in (0.0, 0.3, 0.7, 1.0, gamma_of_t(sys, 1)):
+        zs = [rng.random() for _ in range(200)] + [0.0, -0.0, 1.0, -MEMBER_TOL, 1 + MEMBER_TOL]
+        zs += [math.nextafter(c, -1), c, math.nextafter(c, 2)]
+        zs += rng.sample(zs, 40)
+        rng.shuffle(zs)
+        got = [v.hex() for v in _phi_batch(sys, c, zs)]
+        assert got == [v.hex() for v in _phi_batch_oracle(sys, c, zs)], c
+
+
+_points = st.lists(
+    st.one_of(
+        st.floats(-MEMBER_TOL, 1 + MEMBER_TOL),
+        st.sampled_from([0.0, 1.0, -MEMBER_TOL, 1 + MEMBER_TOL]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=class_d_pairs(), c=st.floats(0.0, 1.0), zs=_points, rnd=st.randoms())
+def test_phi_batch_is_invariant_under_permutations_of_its_points(pair, c, zs, rnd):
+    sys = induced_system(pair)
+    perm = list(range(len(zs)))
+    rnd.shuffle(perm)
+    try:
+        values = _phi_batch(sys, c, zs)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            _phi_batch(sys, c, [zs[k] for k in perm])
+        return
+    permuted = _phi_batch(sys, c, [zs[k] for k in perm])
+    assert [v.hex() for v in permuted] == [values[k].hex() for k in perm]
 
 
 def test_series_split_at_a_rounded_pole_raises_no_convergence(symmetric_system):
@@ -433,6 +538,17 @@ PINNED_CERTIFICATES = {
          "0x1.edb8b922adb84p-1"),
         Verdict.CERTIFIED,
     ),
+    "float-reference-t-1-grid-512": (
+        ("0x1.11c3550264a5fp-1", "0x1.71e9f3997567ap-2", "0x1.6580000000000p-44",
+         "0x1.9ebee4ef40a00p-10"),
+        Verdict.CERTIFIED,
+    ),
+    # c* near 1: most grid points fall in the last piece, whose end clamps them.
+    "reference-t1-minus-3e-4-grid-1024": (
+        ("0x1.fffa642a0ab23p-1", "0x1.03fc2478d2bcbp+1", "0x1.8000000000000p-42",
+         "0x1.3a9eb7e756000p-12"),
+        Verdict.CERTIFIED,
+    ),
 }
 
 
@@ -447,6 +563,8 @@ def test_certificate_bits_are_pinned(reference_pair, symmetric_pair, case):
         "float-reference-2-t1": (float_pair, 2 * thresholds(float_pair).t1, 256),
         "reference-t-1/8": (reference_pair, F(1, 8), 256),
         "reference-t-20": (reference_pair, F(20), 256),
+        "float-reference-t-1-grid-512": (float_pair, 1.0, 512),
+        "reference-t1-minus-3e-4-grid-1024": (reference_pair, F(61, 8) * (1 - F(3, 10000)), 1024),
     }[case]
     rep = certify(pair, t, grid_size)
     values = (rep.c, rep.constant_value, rep.flatness, rep.exterior_margin)

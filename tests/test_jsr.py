@@ -492,3 +492,11 @@ def test_unbalanced_values_below_sturmian_max(reference_pair):
         assert unbalanced
         for word, v in unbalanced:
             assert v < balanced_best, word
+
+
+def test_bruteforce_on_products_that_overflow_is_a_domain_error():
+    # A0's first column sums past the float maximum; the walk raised a bare
+    # ZeroDivisionError once a product overflowed.
+    pair = MatrixPair(Matrix2(1e308, 1e307, 1e308, 1e308), Matrix2(1e308, 2, 3, 4))
+    with pytest.raises(DomainError):
+        jsr_lower_bruteforce(pair, 1, 8)

@@ -7,6 +7,7 @@ import pytest
 
 from sturmjsr import (
     Matrix2,
+    MatrixPair,
     eigenvalues,
     projective_data,
     spectral_radius,
@@ -272,3 +273,22 @@ def test_word_product_exact_path_scales_matrices(reference_pair):
     prod_t, _ = word_product(reference_pair, F(3), "011")
     prod_1, _ = word_product(reference_pair, F(1), "011")
     assert prod_t == prod_1.scaled(F(9))  # two ones: t^2 = 9
+
+
+def test_products_that_can_overflow_are_domain_errors():
+    # A0's columns sum past the float maximum: "00" overflowed to inf, and
+    # its normalization made the value nan.
+    pair = MatrixPair(Matrix2(1e308, 1e308, 1e308, 1e308), Matrix2(1, 2, 3, 4))
+    with pytest.raises(DomainError):
+        word_value(pair, 1, "00")
+    with pytest.raises(DomainError):
+        list(word_values(pair, 1, ["0", "00", "01"]))
+
+
+def test_products_just_below_the_overflow_cap_walk(reference_pair):
+    # Columns that sum to 1.5e308 stay finite, and the value is the
+    # unscaled pair's plus log 1e308 per letter 0.
+    scaled = MatrixPair(reference_pair.A0.to_float().scaled(1e308), reference_pair.A1.to_float())
+    value = word_value(scaled, 1.0, "001")
+    want = word_value(reference_pair.to_float(), 1.0, "001") + 2 * math.log(1e308) / 3
+    assert math.isfinite(value) and abs(value - want) <= 1e-12

@@ -51,7 +51,7 @@ from sturmjsr import (
 from sturmjsr.errors import NoConvergence, PlateauNotFound
 from sturmjsr.matrices import word_value
 
-from conftest import extremal_edge
+from conftest import extremal_edge, random_class_d_pair
 
 SEED = 12
 COUNT = 40
@@ -68,25 +68,9 @@ D2_CAP = 40
 RAISING = []
 
 
-def _entry(rng):
-    return F(rng.randint(1, 64), rng.randint(1, 64))
-
-
-def _matrix(rng):
-    while True:
-        m = Matrix2(*(_entry(rng) for _ in range(4)))
-        if m.det() > 0:
-            return m
-
-
 def class_d_population(seed, count):
     rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < count:
-        pair = MatrixPair(_matrix(rng), _matrix(rng))
-        if pair_report(pair).in_D:
-            pairs.append(pair)
-    return pairs
+    return [random_class_d_pair(rng) for _ in range(count)]
 
 
 def _scale(pair, s):
