@@ -10,6 +10,10 @@ matrices multiplies only the letters past them.  The ergodic-average route
 sums the induced function along the periodic orbit of the word and must
 agree with the product's spectral radius, so each can check the other.
 
+The Sturmian table, the value of each mechanical word up to a denominator
+cap, is the same walk over the Stern-Brocot descent, which hands it each
+word's shared prefix; the restricted maximum and the staircase read it.
+
 The walk is a branch and bound over the tree of Lyndon words, in which a
 word's children are the Lyndon words it is a proper prefix of.  The
 column-sum norm ||.||_1 is submultiplicative and bounds the spectral
@@ -38,6 +42,7 @@ hull gives each L_j as well.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,7 +50,7 @@ from typing import Iterator, Optional
 
 from .dynamics import InducedSystem, class_d_system, f_eval, induced_system, periodic_orbit
 from .errors import DomainError, EmptyWord, NonPositiveMatrix
-from .matrices import MatrixPair, Row, _walk, word_value, word_values
+from .matrices import MatrixPair, Row, _walk, word_value
 from .scalar import Number, check_scale
 from .words import RationalParameter, is_balanced, mechanical_word, stern_brocot_words
 
@@ -294,23 +299,33 @@ def ergodic_average_f(sys: InducedSystem, word: str, t: Number) -> float:
     return math.fsum(f_eval(sys, x, t) for x in orbit) / len(orbit)
 
 
+def _sturmian_table(pair: MatrixPair, t: Number, max_den: int) -> list[tuple[int, int, float]]:
+    """(p, q, Sturmian value at scale t) per reduced p/q with q <= max_den, by rising p/q.
+
+    One walk over the Stern-Brocot descent's mechanical words, which hands
+    it the prefix each shares with the word before, so each value has
+    word_value's bits.  The caller checks the pair and the scale.
+    """
+    if max_den < 1:
+        raise DomainError(f"max_den must be at least 1, got {max_den}")
+    steps, words = itertools.tee(stern_brocot_words(max_den))
+    values = _walk(pair.to_float(), t, steps, [])
+    return [(w.count("1"), len(w), value) for (_, w), value in zip(words, values)]
+
+
 def sturmian_restricted_max(
     pair: MatrixPair, t: Number, max_den: int
 ) -> tuple[RationalParameter, float]:
     """Maximize the Sturmian value over parameters with denominator <= max_den.
 
     Ties within 1e-12 break toward smaller denominator, then smaller
-    numerator: the values come from one prefix-shared walk in rising p/q
-    order and are replayed by (q, p).  The restricted maximum converges to
-    log r of the scaled pair as the denominator cap grows.
+    numerator: the rows of the Sturmian table, built in rising p/q order,
+    are replayed by (q, p).  The restricted maximum converges to log r of
+    the scaled pair as the denominator cap grows.
     """
     class_d_system(pair, t)
-    if max_den < 1:
-        raise DomainError(f"max_den must be at least 1, got {max_den}")
-    rows = list(stern_brocot_words(max_den))
-    values = word_values(pair.to_float(), float(t), (word for _, _, word in rows))
     best: tuple[RationalParameter, float] | None = None
-    for (q, p), value in sorted(zip(((q, p) for p, q, _ in rows), values)):
+    for q, p, value in sorted((q, p, value) for p, q, value in _sturmian_table(pair, t, max_den)):
         if best is None or value > best[1] + VALUE_TIE_TOL:
             best = (RationalParameter(p, q), value)
     assert best is not None

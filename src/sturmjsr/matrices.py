@@ -17,9 +17,9 @@ radicand is a perfect square; otherwise they degrade to floats.
 Float word products and per-letter values come from one walk over a stack
 of prefix products, which multiplies only the letters past the prefix a
 word shares with the word before.  The caller gives that prefix's length:
-the brute force reads it off Duval's successor, and word_values, whose
-words may come in any order, off the XOR of the two words read as binary
-numbers.
+the brute force reads it off Duval's successor, the Sturmian table off the
+Stern-Brocot descent (words.stern_brocot_words), and word_product, which
+walks one word, uses 0.
 """
 
 from __future__ import annotations
@@ -252,6 +252,11 @@ def _normalised(prod: Entries) -> tuple[Entries, float]:
 # product with a factor whose column sums of |entries| stay below this cap
 # stays below the float maximum.
 _COLUMN_SUM_CAP = sys.float_info.max * (1 - 2.0**-48)
+# A normalized product of non-negative factors has an entry within 2^-50 of
+# 1, so its product with a non-negative factor whose rows each have a
+# largest entry of at least this floor, 2^-1024 plus 4 ulps, has a largest
+# entry m of at least 2^-1024 plus 2 ulps, and 1/m stays finite.
+_ROW_MAX_FLOOR = 1.0 / _COLUMN_SUM_CAP
 
 # One prefix of a walked word: its normalized product (a, b, c, d), the sum
 # of the logs normalized out of it, and its count of 1s.
@@ -263,21 +268,27 @@ def _walk(
 ) -> Iterator[float]:
     """(1/n) log r(A_t(w)) on the float path, for each (k, w) of steps.
 
-    Each w is a non-empty binary word whose first k letters are those of
-    the word before it; the caller knows k, or 0 for none.  stack holds a
-    Row per prefix of the word before, w[:1], w[:2], ..., so only the
-    letters past the shared prefix are multiplied, after which the last Row
-    is w's product.  Each prefix is stepped the same way whatever word it
-    came from, so a value's bits do not depend on the words walked before
-    it.  The scale of t enters only through the count of 1s, after the
-    product.  A factor with a column whose |entries| sum past
-    _COLUMN_SUM_CAP is a DomainError, checked once: past it a product entry
-    can overflow to inf, and the normalization step would turn it to nan.
+    Each w is a non-empty binary word whose first k letters are those of the
+    word before it.  The caller knows k: the brute force from Duval's
+    successor, the Sturmian table from the Stern-Brocot descent, and
+    word_product, with one word, gives 0.  stack holds a Row per prefix of
+    the word before, w[:1], w[:2], ..., so only the letters past the shared
+    prefix are multiplied, after which the last Row is w's product.  Each
+    prefix is stepped the same way whatever word it came from, so a value's
+    bits do not depend on the words walked before it.  The scale of t enters
+    only through the count of 1s, after the product.  A factor with a column
+    whose |entries| sum past _COLUMN_SUM_CAP is a DomainError, checked once:
+    past it a product entry can overflow to inf, and the normalization step
+    would turn it to nan; so is one with a row whose largest |entry| is
+    positive but below _ROW_MAX_FLOOR, past which 1/m can overflow.  Signed
+    factors can still cancel, and a zero m raises ZeroDivisionError.
     """
     f0, f1 = pair.A0.to_float().entries(), pair.A1.to_float().entries()
     for e, f, g, h in (f0, f1):
         if not max(abs(e) + abs(g), abs(f) + abs(h)) <= _COLUMN_SUM_CAP:
             raise DomainError(f"a product with {(e, f, g, h)} can overflow the float range")
+        if any(0 < row < _ROW_MAX_FLOOR for row in (max(abs(e), abs(f)), max(abs(g), abs(h)))):
+            raise DomainError(f"a product with {(e, f, g, h)} can underflow the float range")
     (e0, s0), (e1, s1) = _normalised(f0), _normalised(f1)
     firsts = {"0": (*e0, s0, 0), "1": (*e1, s1, 1)}
     factors = {"0": (*f0, 0), "1": (*f1, 1)}
@@ -309,28 +320,6 @@ def _walk(
         yield (log(rad) + (s + n * log_t)) / len(word)
 
 
-def _xor_steps(words: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(k, word) for words in any order, k the length of the prefix shared with the last."""
-    prev = ""
-    for word in words:
-        n = min(len(prev), len(word))
-        # Read as binary numbers, the first n letters first differ at the
-        # highest set bit of their XOR.
-        yield (n - (int(word[:n], 2) ^ int(prev[:n], 2)).bit_length() if n else 0), word
-        prev = word
-
-
-def word_values(pair: MatrixPair, t: Number, words: Iterable[str]) -> Iterator[float]:
-    """word_value(pair, t, w) for each word w, bit for bit, on the float path.
-
-    The words must be non-empty and over {0, 1}, and t positive; callers
-    check.  The words may come in any order, so the prefix each shares with
-    the word before is read off the two words.  Each word costs one multiply
-    per letter past it, so feed them in rising lexicographic order.
-    """
-    return _walk(pair, t, _xor_steps(words), [])
-
-
 def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Number]:
     """Product over a binary word with symbol 0 -> A0 and symbol 1 -> t*A1.
 
@@ -340,7 +329,7 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
     float path the base matrices are multiplied with a normalization step
     (divide by the largest |entry|, add its log to s) after each letter, and
     the scale of t enters only through s, so scaling identities hold to the
-    last float digit.
+    last float digit.  A zero float product is a DomainError.
     """
     if not word:
         raise EmptyWord("word product needs a non-empty word")
@@ -360,11 +349,19 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
         next(_walk(pair, t, ((0, word),), stack))
     except ValueError:
         pass  # a nilpotent product has no log radius, but it is on the stack
+    except ZeroDivisionError:
+        raise DomainError(f"a zero product has no normalization (word {word!r})") from None
     a, b, c, d, log_scale, ones = stack[-1]
     return Matrix2(a, b, c, d), log_scale + ones * math.log(float(t))
 
 
 def word_value(pair: MatrixPair, t: Number, word: str) -> float:
-    """Per-letter log spectral radius of the word product, (1/n) log r(A_t(word))."""
+    """Per-letter log spectral radius of the word product, (1/n) log r(A_t(word)).
+
+    A nilpotent product, whose spectral radius is 0, is a DomainError.
+    """
     prod, log_scale = word_product(pair, t, word)
-    return (math.log(float(spectral_radius(prod))) + float(log_scale)) / len(word)
+    radius = float(spectral_radius(prod))
+    if not radius > 0:
+        raise DomainError(f"the product over {word!r} has spectral radius {radius}")
+    return (math.log(radius) + float(log_scale)) / len(word)

@@ -17,7 +17,6 @@ envelope's float error.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -26,23 +25,10 @@ from functools import lru_cache
 
 from .dynamics import InducedSystem, ThresholdPair, class_d_system, periodic_point_budget
 from .errors import DomainError, PlateauNotFound
-from .matrices import (
-    Matrix2,
-    MatrixPair,
-    _normalised,
-    _product,
-    fixed_point,
-    spectral_radius,
-    word_values,
-)
+from .jsr import _sturmian_table
+from .matrices import Matrix2, MatrixPair, _normalised, _product, fixed_point, spectral_radius
 from .scalar import Number
-from .words import (
-    ParameterBracket,
-    RationalParameter,
-    farey_neighbors,
-    mechanical_word,
-    stern_brocot_words,
-)
+from .words import ParameterBracket, RationalParameter, farey_neighbors, mechanical_word
 
 # Envelope segments narrower than this in t are merged into their neighbours.
 SEGMENT_FLOOR = 1e-12
@@ -97,33 +83,21 @@ class _Envelope:
     log_radii: tuple[float, float]
 
 
-def _sturmian_table(
-    entries: tuple[float, ...], max_den: int
-) -> list[tuple[int, int, float, float]]:
-    """(p, q, value at t = 1, p/q) per reduced parameter, by rising p/q.
-
-    Scaling the convex member by t shifts a word's per-letter value by
-    exactly (ones/length) log t, so one table at t = 1 serves every scale.
-    The mechanical words come in rising lexicographic order, so the walk
-    shares their prefix products; each value has word_value's bits.
-    """
-    pair = MatrixPair(Matrix2(*entries[:4]), Matrix2(*entries[4:]))
-    params, words = itertools.tee(stern_brocot_words(max_den))
-    values = word_values(pair, 1.0, (word for _, _, word in words))
-    return [(p, q, value, p / q) for (p, q, _), value in zip(params, values)]
-
-
 @lru_cache(maxsize=32)
 def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
-    """Upper envelope of the table's lines, segments below SEGMENT_FLOOR merged.
+    """Upper envelope of the Sturmian table's lines, segments below SEGMENT_FLOOR merged.
 
+    Scaling the convex member by t shifts a word's per-letter value by
+    exactly (ones/length) log t, so the table at t = 1 serves every scale.
     A stack over rising slope gives the hull.  Then the narrowest segment
     below the floor is removed, repeatedly; its neighbours meet at their own
     intersection, kept inside it so the breakpoints stay sorted.
     """
     meet = lambda lo, up: (lo[2] - up[2]) / (up[3] - lo[3])  # noqa: E731
-    hull, starts = [], []  # lines, and the log t at which each takes over
-    for row in _sturmian_table(entries, max_den):
+    hull, starts = [], []  # lines (p, q, base, slope), and the log t at which each takes over
+    pair = MatrixPair(Matrix2(*entries[:4]), Matrix2(*entries[4:]))
+    for p, q, base in _sturmian_table(pair, 1.0, max_den):
+        row = (p, q, base, p / q)
         while hull and meet(hull[-1], row) <= starts[-1]:
             del hull[-1], starts[-1]
         starts.append(meet(hull[-1], row) if hull else -math.inf)
@@ -150,17 +124,15 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
         bases=tuple(hull[k][2] for k in kept),
         breaks=tuple(breaks[k] for k in kept) + (math.inf,),
         log_radii=(
-            math.log(spectral_radius(Matrix2(*entries[:4]))),
-            math.log(spectral_radius(Matrix2(*entries[4:]))),
+            math.log(spectral_radius(pair.A0)),
+            math.log(spectral_radius(pair.A1)),
         ),
     )
 
 
 def _validated(pair: MatrixPair, max_den: int, *scales: Number) -> tuple[ThresholdPair, _Envelope]:
-    """Class, scale and cap checks, then the thresholds and the envelope of the pair."""
+    """Class and scale checks, then the thresholds and the envelope, whose table checks the cap."""
     sys = class_d_system(pair, *scales)
-    if max_den < 1:
-        raise DomainError(f"max_den must be at least 1, got {max_den}")
     entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
     return sys.thresholds, _envelope(entries, max_den)
 

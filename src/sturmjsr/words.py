@@ -58,28 +58,39 @@ def mechanical_word(param: RationalParameter) -> str:
     return "".join(str((k + 1) * p // q - k * p // q) for k in range(q))
 
 
-def stern_brocot_words(max_den: int) -> Iterator[tuple[int, int, str]]:
-    """(p, q, mechanical word of p/q) for every reduced p/q in [0, 1], q <= max_den.
+def stern_brocot_words(max_den: int) -> Iterator[tuple[int, str]]:
+    """(k, w) per reduced p/q in [0, 1] with q <= max_den: w its mechanical word.
 
     In rising p/q order, which is also strictly increasing lexicographic
-    order of the words.  A Stern-Brocot mediant's word is the word of its
-    left parent followed by that of its right parent, so each word is one
-    concatenation.  The descent is iterative, since the branch toward 0 is
-    max_den levels deep: the stack holds the right ends of the intervals
-    still open, and the last value yielded is the left end of the top one.
+    order of the words; p = w.count("1") and q = len(w).  k is the length of
+    the prefix w shares with the word before it, 0 for the first.  A
+    Stern-Brocot mediant's word is the word of its left parent followed by
+    that of its right parent, so each word is one concatenation.  The
+    descent is iterative, since the branch toward 0 is max_den levels deep:
+    the stack holds the words of the right ends of the intervals still open,
+    and the last word yielded is the left end of the top one.
+
+    After a push, w is a mediant whose left parent is the word just yielded,
+    so w starts with all of it and k is its length.  After a pop with no
+    push, w = LR is the right end of the interval whose left end, the word
+    just yielded, is the neighbour L(LR)^m of LR, m >= 1.  Past their common
+    L, w goes on with R and the word before with LR.  For R = 0 u_R 1 that
+    is 0 u_R 01 u_L 1, by the central-word identity u_L 10 u_R = u_R 01 u_L
+    of the mediant (see Berstel, Lauve, Reutenauer and Saliola, Combinatorics
+    on Words, 2008), or 0R = 0 u_R 01 when L = 0; for R = 1 it starts with 0.
+    Either way the two share all of w but its last letter: k = len(w) - 1.
     """
     if max_den < 1:
         return
-    lo = (0, 1, "0")
-    stack = [(1, 1, "1")]
-    yield lo
+    lo, stack = "0", ["1"]
+    yield 0, lo
     while stack:
-        hi = stack[-1]
-        if lo[1] + hi[1] <= max_den:
-            stack.append((lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2]))
-        else:
-            lo = stack.pop()
-            yield lo
+        k = len(stack[-1]) - 1
+        while len(lo) + len(stack[-1]) <= max_den:
+            stack.append(lo + stack[-1])
+            k = len(lo)
+        lo = stack.pop()
+        yield k, lo
 
 
 def is_balanced(word: str) -> bool:

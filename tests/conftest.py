@@ -92,6 +92,11 @@ def class_d_pairs() -> st.SearchStrategy[MatrixPair]:
     return st.integers(0, 2**32 - 1).map(lambda seed: random_class_d_pair(random.Random(seed)))
 
 
+def common_prefix(u: str, v: str) -> int:
+    """Length of the longest common prefix of two words."""
+    return next((i for i, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
+
+
 def mp_periodic_point(mpmath, pair, word: str):
     """Periodic point of the word in mpmath's working precision.
 

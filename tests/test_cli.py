@@ -92,6 +92,16 @@ def test_jsr_invalid_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_jsr_on_products_that_can_underflow_exits_1(tmp_path, capsys):
+    # A0's entries are below 1/float max: every word with a 0 came out nan,
+    # and the command reported "1" with exit 0.
+    path = tmp_path / "tiny.json"
+    tiny = {"A0": [[1e-310, 2e-310], [3e-310, 5e-310]], "A1": [[1, 2], [3, 4]]}
+    path.write_text(json.dumps(tiny))
+    code, out, err = run(capsys, ["jsr", str(path), "--t", "1", "--max-len", "6", "--upper"])
+    assert code == 1 and not out and "underflow" in err
+
+
 def test_sturmian_value_command(pair_file, capsys):
     code, out, _ = run(
         capsys, ["sturmian-value", pair_file, "--t", "1", "--param", "0/1"]

@@ -31,7 +31,7 @@ from sturmjsr.jsr import VALUE_TIE_TOL, _successor, lyndon_words
 from sturmjsr.matrices import Matrix2, MatrixPair, spectral_radius, word_value
 from sturmjsr.staircase import _envelope
 
-from conftest import random_positive_matrix, word_value_oracle
+from conftest import class_d_pairs, random_positive_matrix, word_value_oracle
 
 _WALK = jsr_module._walk
 
@@ -461,6 +461,17 @@ def test_restricted_max_matches_the_double_loop(reference_pair, symmetric_pair):
                 assert sturmian_restricted_max(pair, t, max_den) == want, (max_den, t)
 
 
+@settings(max_examples=30, deadline=None)
+@given(pair=class_d_pairs(), u=st.floats(0, 1), max_den=st.sampled_from([1, 2, 5, 13]))
+def test_restricted_max_matches_the_double_loop_on_population_pairs(pair, u, max_den):
+    # t log-uniform in [t0/2, 2 t1], so both domination regimes are drawn too.
+    th = thresholds(pair)
+    lo, hi = float(th.t0) / 2, 2 * float(th.t1)
+    t = lo * (hi / lo) ** u
+    want = _restricted_max_by_double_loop(pair, t, max_den)
+    assert sturmian_restricted_max(pair, t, max_den) == want
+
+
 def test_restricted_max_rejects_outside_class(c_not_d_pair):
     from sturmjsr import d2_pair
 
@@ -492,6 +503,14 @@ def test_unbalanced_values_below_sturmian_max(reference_pair):
         assert unbalanced
         for word, v in unbalanced:
             assert v < balanced_best, word
+
+
+def test_bruteforce_on_products_that_can_underflow_is_a_domain_error():
+    # A0's entries are below 1/float max: each word with a 0 came out nan,
+    # never passed the running best, and "1" won unchallenged.
+    pair = MatrixPair(Matrix2(1e-310, 2e-310, 3e-310, 5e-310), Matrix2(1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(DomainError):
+        jsr_lower_bruteforce(pair, 1, 6)
 
 
 def test_bruteforce_on_products_that_overflow_is_a_domain_error():

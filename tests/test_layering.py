@@ -27,7 +27,7 @@ IMPORTS = {
     "matrices": {"errors", "scalar"},
     "pairfile": {"errors", "matrices", "scalar"},
     "scalar": {"errors"},
-    "staircase": {"dynamics", "errors", "matrices", "scalar", "words"},
+    "staircase": {"dynamics", "errors", "jsr", "matrices", "scalar", "words"},
     "words": {"errors"},
 }
 

@@ -14,9 +14,9 @@ from sturmjsr import (
     word_product,
 )
 from sturmjsr.errors import DomainError, EmptyWord, NonPositiveMatrix, NonPositiveScale
-from sturmjsr.matrices import fixed_point, word_value, word_values
+from sturmjsr.matrices import _walk, fixed_point, word_value
 
-from conftest import random_positive_matrix
+from conftest import common_prefix, random_positive_matrix
 
 
 def test_projective_data_exact_values(reference_pair):
@@ -256,7 +256,12 @@ def test_word_value_scaling_shift(reference_pair):
         assert abs(word_value(fpair, t, word) - word_value(fpair, 1.0, word) - shift) <= 1e-12
 
 
-def test_word_values_any_order_match_word_value(reference_pair, symmetric_pair):
+def _lcp_steps(words):
+    """(k, word) per word, k the length of the prefix it shares with the word before."""
+    return zip(map(common_prefix, [""] + words, words), words)
+
+
+def test_walk_any_order_matches_word_value(reference_pair, symmetric_pair):
     # Shuffled, with repeats and words that are prefixes of the word before,
     # so the walk pops to every kind of common prefix.
     rng = random.Random(18)
@@ -265,7 +270,7 @@ def test_word_values_any_order_match_word_value(reference_pair, symmetric_pair):
     rng.shuffle(words)
     for pair in (reference_pair.to_float(), symmetric_pair.to_float()):
         for t in (0.3, 1.0, 2.5):
-            got = [v.hex() for v in word_values(pair, t, iter(words))]
+            got = [v.hex() for v in _walk(pair, t, _lcp_steps(words), [])]
             assert got == [word_value(pair, t, w).hex() for w in words]
 
 
@@ -282,7 +287,7 @@ def test_products_that_can_overflow_are_domain_errors():
     with pytest.raises(DomainError):
         word_value(pair, 1, "00")
     with pytest.raises(DomainError):
-        list(word_values(pair, 1, ["0", "00", "01"]))
+        list(_walk(pair, 1, _lcp_steps(["0", "00", "01"]), []))
 
 
 def test_products_just_below_the_overflow_cap_walk(reference_pair):
@@ -292,3 +297,39 @@ def test_products_just_below_the_overflow_cap_walk(reference_pair):
     value = word_value(scaled, 1.0, "001")
     want = word_value(reference_pair.to_float(), 1.0, "001") + 2 * math.log(1e308) / 3
     assert math.isfinite(value) and abs(value - want) <= 1e-12
+
+
+# A0's entries are below 1/float max, the floor under which the
+# normalization's 1/m overflowed and made the value nan.
+TINY_PAIR = MatrixPair(Matrix2(1e-310, 2e-310, 3e-310, 5e-310), Matrix2(1.0, 2.0, 3.0, 4.0))
+
+
+@pytest.mark.parametrize("word", ["0", "00", "01", "10", "011", "1"])
+def test_products_that_can_underflow_are_domain_errors(word):
+    with pytest.raises(DomainError):
+        word_value(TINY_PAIR, 1, word)
+
+
+def test_rows_just_above_the_underflow_floor_walk(reference_pair):
+    # A0's rows have largest entries 6.25e-309 and 9.4e-309, just above the
+    # floor, and the value is the unscaled pair's plus log 1e-308 per letter 0.
+    scaled = MatrixPair(reference_pair.A0.to_float().scaled(1e-308), reference_pair.A1.to_float())
+    value = word_value(scaled, 1.0, "001")
+    want = word_value(reference_pair.to_float(), 1.0, "001") + 2 * math.log(1e-308) / 3
+    assert math.isfinite(value) and abs(value - want) <= 1e-12
+
+
+NILPOTENT_PAIR = MatrixPair(Matrix2(0.0, 1.0, 0.0, 0.0), Matrix2(1.0, 2.0, 3.0, 4.0))
+
+
+def test_zero_and_nilpotent_products_are_domain_errors():
+    # "00" is the zero matrix, which the normalization divided by 0; "0" and
+    # "010" are nilpotent, whose log radius was a bare math domain error.
+    with pytest.raises(DomainError):
+        word_product(NILPOTENT_PAIR, 1, "00")
+    for word in ("0", "00", "010"):
+        with pytest.raises(DomainError):
+            word_value(NILPOTENT_PAIR, 1, word)
+    prod, log_scale = word_product(NILPOTENT_PAIR, 1, "0")
+    assert prod == NILPOTENT_PAIR.A0 and log_scale == 0
+    assert math.isfinite(word_value(NILPOTENT_PAIR, 1, "01"))

@@ -16,6 +16,7 @@ from sturmjsr import (
     RationalParameter,
     certify,
     counterexample_search,
+    delta_numeric,
     domination_check,
     gamma_of_t,
     induced_system,
@@ -27,10 +28,12 @@ from sturmjsr import (
     sturmian_restricted_max,
     thresholds,
 )
+from sturmjsr.certify import TAIL_TOL
 from sturmjsr.dynamics import periodic_point_budget
 from sturmjsr.matrices import fixed_point, spectral_radius
 from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
-from sturmjsr.staircase import _sturmian_table, parameter_bracket_of_coordinate
+from sturmjsr.jsr import _sturmian_table
+from sturmjsr.staircase import parameter_bracket_of_coordinate
 from sturmjsr.words import stern_brocot_words
 
 from conftest import extremal_edge, mp_periodic_point, random_positive_matrix, word_value_oracle
@@ -117,6 +120,29 @@ def test_plateau_midpoints_agree_with_direct_search(reference_pair):
     assert checked > 100
 
 
+@pytest.mark.parametrize("name", ["reference_pair", "symmetric_pair"])
+def test_plateau_edges_are_where_the_matching_functional_meets_the_c_interval(request, name):
+    # Second route to every interior edge at cap 150: the scale matched to c
+    # is K exp(-Delta(c)), K = (a0 + c0)/(b1 + d1), and the plateau of p/q
+    # runs between the scales matched to the ends of its c-interval.  Delta
+    # sums three series, each to a tail below TAIL_TOL, so it is within
+    # 3 TAIL_TOL of its limit; 10 TAIL_TOL leaves room for the float error
+    # of the envelope's meets and the c-interval ends, about 1e-12 here.
+    pair = request.getfixturevalue(name)
+    sys = induced_system(pair)
+    point = functools.partial(periodic_point, sys)
+    log_k = math.log((pair.A0.a + pair.A0.c) / (pair.A1.b + pair.A1.d))
+    resolved = 0
+    for p, q, word in _sturmian_words(13):
+        if q == 1:
+            continue
+        plat = plateau_bounds(pair, RationalParameter(p, q), 1e-9, 150)
+        for edge, c in zip((plat.t_lo, plat.t_hi), _c_interval(point, p, q, word)):
+            assert abs(math.log(edge) - (log_k - delta_numeric(sys, c))) <= 10 * TAIL_TOL, (p, q)
+        resolved += 1
+    assert resolved == 57
+
+
 def test_sturmian_table_bits_match_per_word_products(reference_pair, symmetric_pair):
     rng = random.Random(20260)
     pairs = [reference_pair, symmetric_pair, reference_pair.to_float()] + [
@@ -124,9 +150,9 @@ def test_sturmian_table_bits_match_per_word_products(reference_pair, symmetric_p
     ]
     for pair in pairs:
         fpair = pair.to_float()
-        rows = _sturmian_table(fpair.A0.entries() + fpair.A1.entries(), 60)
-        assert [F(p, q) for p, q, _, _ in rows] == sorted(F(p, q) for p, q, _, _ in rows)
-        got = {(p, q): value.hex() for p, q, value, _ in rows}
+        rows = _sturmian_table(fpair, 1.0, 60)
+        assert [F(p, q) for p, q, _ in rows] == sorted(F(p, q) for p, q, _ in rows)
+        got = {(p, q): value.hex() for p, q, value in rows}
         want = {
             (p, q): word_value_oracle(fpair, 1.0, mechanical_word(RationalParameter(p, q))).hex()
             for q in range(1, 61)
@@ -147,8 +173,8 @@ PINNED_TABLES = {
 def test_sturmian_table_bits_are_pinned_at_cap_150(reference_pair, symmetric_pair, case):
     # A change that moves any bit of the table must say so here.
     fpair = {"reference": reference_pair, "d2": symmetric_pair}[case].to_float()
-    rows = _sturmian_table(fpair.A0.entries() + fpair.A1.entries(), 150)
-    text = "\n".join(f"{p}/{q} {value.hex()}" for p, q, value, _ in rows)
+    rows = _sturmian_table(fpair, 1.0, 150)
+    text = "\n".join(f"{p}/{q} {value.hex()}" for p, q, value in rows)
     assert len(rows) == 6859
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLES[case]
 
@@ -377,6 +403,11 @@ def test_scan_rejects_a_non_positive_t_min(reference_pair):
             staircase_scan(reference_pair, t_min, 1, 10, 10)
 
 
+def _sturmian_words(max_den):
+    """(p, q, mechanical word) per reduced p/q with q <= max_den, by rising p/q."""
+    return [(w.count("1"), len(w), w) for _, w in stern_brocot_words(max_den)]
+
+
 def _c_interval(point, p, q, word):
     """The c-interval of p/q from a periodic-point function of words."""
     if q == 1:
@@ -404,7 +435,7 @@ def test_descent_reads_every_interval_midpoint(reference_pair, symmetric_pair):
         sys = induced_system(pair)
         point = functools.partial(periodic_point, sys)
         resolved = 0
-        for p, q, word in stern_brocot_words(20):
+        for p, q, word in _sturmian_words(20):
             lo, hi = _c_interval(point, p, q, word)
             if hi - lo > 8 * periodic_point_budget(q):
                 bracket = parameter_bracket_of_coordinate(sys, (lo + hi) / 2)
@@ -419,7 +450,7 @@ def test_descent_brackets_are_monotone_in_c(reference_pair, symmetric_pair):
         sys = induced_system(pair)
         point = functools.partial(periodic_point, sys)
         cs = [rng.random() for _ in range(400)]
-        for p, q, word in stern_brocot_words(12):
+        for p, q, word in _sturmian_words(12):
             for end in _c_interval(point, p, q, word):
                 cs += [end, math.nextafter(end, 0.0), math.nextafter(end, 1.0)]
         brackets = [parameter_bracket_of_coordinate(sys, c) for c in sorted(cs)]
@@ -440,7 +471,7 @@ def test_descent_agrees_with_mpmath_intervals(reference_pair, symmetric_pair):
         sys = induced_system(pair)
         with mpmath.workdps(60):
             point = functools.partial(mp_periodic_point, mpmath, pair)
-            rows = [(F(p, q), *_c_interval(point, p, q, w)) for p, q, w in stern_brocot_words(20)]
+            rows = [(F(p, q), *_c_interval(point, p, q, w)) for p, q, w in _sturmian_words(20)]
         ends = [float(x) for _, lo, hi in rows for x in (lo, hi)]
         cs = [x + k * math.ulp(x) for x in ends for k in (-3, -1, 0, 1, 3)]
         cs += [x + d for x in ends for d in (-1e-9, -1e-13, 1e-13, 1e-9)]

@@ -20,6 +20,8 @@ from sturmjsr.dynamics import branch_of, periodic_orbit, periodic_point_budget
 from sturmjsr.errors import DomainError
 from sturmjsr.words import farey_neighbors, stern_brocot_words
 
+from conftest import common_prefix
+
 
 def RP(p, q):
     return RationalParameter(p, q)
@@ -60,7 +62,8 @@ def test_mechanical_words_count_and_balance():
 
 def test_stern_brocot_words_are_the_mechanical_words():
     for cap, count in ((40, 491), (150, 6859)):
-        rows = list(stern_brocot_words(cap))
+        words = [w for _, w in stern_brocot_words(cap)]
+        rows = [(w.count("1"), len(w), w) for w in words]
         assert len(rows) == count
         assert sorted((q, p) for p, q, _ in rows) == [
             (q, p) for q in range(1, cap + 1) for p in range(q + 1) if math.gcd(p, q) == 1
@@ -70,8 +73,16 @@ def test_stern_brocot_words_are_the_mechanical_words():
             assert w < w2 and F(p, q) < F(p2, q2)
     # The branch toward 0 is max_den levels deep, past the recursion limit.
     first = list(itertools.islice(stern_brocot_words(2000), 3))
-    assert first == [(0, 1, "0"), (1, 2000, "0" * 1999 + "1"), (1, 1999, "0" * 1998 + "1")]
+    assert first == [(0, "0"), (1, "0" * 1999 + "1"), (1998, "0" * 1998 + "1")]
     assert list(stern_brocot_words(0)) == []
+
+
+def test_stern_brocot_steps_share_the_longest_common_prefix():
+    for cap in [*range(1, 61), 150]:
+        prev = ""
+        for k, w in stern_brocot_words(cap):
+            assert k == common_prefix(prev, w), (cap, prev, w)
+            prev = w
 
 
 def test_balance_judgments():
