@@ -14,13 +14,20 @@ The Sturmian table, the value of each mechanical word up to a denominator
 cap, is the same walk over the Stern-Brocot descent, which hands it each
 word's shared prefix; the restricted maximum and the staircase read it.
 
-The walk is a branch and bound over the tree of Lyndon words, in which a
-word's children are the Lyndon words it is a proper prefix of.  The
-column-sum norm ||.||_1 is submultiplicative and bounds the spectral
-radius, so a word wv of length m has value at most
-(log ||A_t(w)||_1 + L_{m-|w|}) / m, where L_j is the log of the largest
-column-sum norm over products of j letters.  When that bound stays below
-the running best by the tie tolerance less a margin, for every m up to
+The induced 1-norm ||.||_1, the largest column sum of |entries|, is
+submultiplicative and bounds the spectral radius.  So with L_j the log of
+the largest 1-norm over products of j letters, every L_j / j bounds log r
+from above, and the minimum over j <= max_len is the upper bound.  For
+positive matrices the column sums of A_w are the entries of the row vector
+1^T A_w, and of those vectors only the vertices of the upper-right convex
+hull can carry a level maximum now or after any right extension, so one
+hull per length gives each L_j.
+
+The same levels prune the walk, a branch and bound over the tree of Lyndon
+words, in which a word's children are the Lyndon words it is a proper
+prefix of.  A word wv of length m has value at most
+(log ||A_t(w)||_1 + L_{m-|w|}) / m.  When that bound stays below the
+running best by the tie tolerance less a margin, for every m up to
 max_len, no extension of w can become the best, and the walk jumps past
 all of them.  Only the walk's own running best sets the bar, and it only
 rises, so a skipped word could not have replaced the best when its turn
@@ -30,27 +37,18 @@ the bound and of a walked value.  Each is a sum of at most two logs of
 floats per letter, and a log of a float is at most 745 in size, so each is
 off by less than 2e-13 per letter of the longest word: far below the
 margin of 1e-9 (1 + |best|) at any max_len the walk can reach.
-
-Upper bounds come from the entrywise sum norm, which is submultiplicative,
-so every product length yields a valid bound and the minimum over lengths
-is reported.  For positive matrices the sum norm of A_w is 1^T A_w 1, so
-only the row vectors 1^T A_w matter, and of those only the vertices of the
-upper-right convex hull can carry a level maximum now or after any right
-extension.  The entries of 1^T A_w are the column sums of A_w, so the same
-hull gives each L_j as well.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynamics import InducedSystem, class_d_system, f_eval, induced_system, periodic_orbit
 from .errors import DomainError, EmptyWord, NonPositiveMatrix
-from .matrices import MatrixPair, Row, _walk, word_value
+from .matrices import _COLUMN_SUM_CAP, MatrixPair, Row, _walk, word_value
 from .scalar import Number, check_scale
 from .words import RationalParameter, is_balanced, mechanical_word, stern_brocot_words
 
@@ -67,7 +65,8 @@ class JsrEstimate:
     """Bracketing estimate of log r for a scaled pair.
 
     lower is attained by argmax_word; upper, when computed, is the minimum
-    over product lengths of the normalized sum-norm bound.
+    over product lengths n of L_n / n, L_n the log of the largest 1-norm
+    (column sum) of an n-letter product.
     """
 
     lower: float
@@ -125,9 +124,9 @@ def jsr_lower_bruteforce(
     word is balanced, and None otherwise.
 
     After each word w shorter than max_len the walk reads log ||A_t(w)||_1
-    off w's row of the stack.  L_j, the log of the largest column-sum norm
-    of a product of j letters, comes off the hull levels that also give the
-    upper bound, so those are built once.  When
+    off w's row of the stack.  L_j, the log of the largest 1-norm of a
+    product of j letters, comes from _norm_levels, whose minimum of
+    L_j / j is also the upper bound, so the levels are built once.  When
     (log ||A_t(w)||_1 + L_{m-|w|}) / m <= best + 1e-12 - 1e-9 (1 + |best|)
     for every m in (|w|, max_len], best the running best, the walk skips
     w's extensions.  None of them could have passed best + 1e-12 when its
@@ -137,9 +136,7 @@ def jsr_lower_bruteforce(
     letter (see the module docstring).
     """
     _check_bruteforce_args(pair, t, max_len)
-    levels, shift = _norm_levels(pair, t, max_len)
-    # L_j for j = 1, ..., max_len; a level lost to overflow (inf or nan) bounds nothing.
-    col_norms = [c + j * shift if c < math.inf else math.inf for j, (_, c) in enumerate(levels, 1)]
+    levels = _norm_levels(pair, t, max_len)
     log_t = math.log(float(t))
     stack: list[Row] = []
     best_value, best_word, word = -math.inf, "", "0"
@@ -161,7 +158,7 @@ def jsr_lower_bruteforce(
             if n < max_len:
                 if floors[n] is None:
                     floors[n] = min(
-                        (n + j) * bar - col_norms[j - 1] for j in range(1, max_len - n + 1)
+                        (n + j) * bar - levels[j - 1] for j in range(1, max_len - n + 1)
                     )
                 a, b, c, d, s, ones = stack[-1]
                 beaten = math.log(max(a + c, b + d)) + s + ones * log_t <= floors[n]
@@ -182,7 +179,7 @@ def jsr_lower_bruteforce(
 
     return JsrEstimate(
         lower=best_value,
-        upper=_sum_norm_bound(levels, shift) if compute_upper else None,
+        upper=_upper_bound(levels) if compute_upper else None,
         argmax_word=best_word,
         argmax_parameter=param,
         max_length=max_len,
@@ -209,72 +206,57 @@ def _upper_right_hull(points: list[tuple[float, float]]) -> list[tuple[float, fl
     return hull
 
 
-def _norm_levels(
-    pair: MatrixPair, t: Number, max_len: int
-) -> tuple[list[tuple[float, float]], float]:
-    """Per length n <= max_len, the logs of the largest sum norm and column-sum norm.
+def _norm_levels(pair: MatrixPair, t: Number, max_len: int) -> list[float]:
+    """L_n, the log of the largest 1-norm ||A_t(w)||_1 over words w of length n <= max_len.
 
-    The level-n row vectors 1^T A_w come from level n-1 by right
-    multiplication with A0 or t*A1.  A vector off the upper-right convex
-    hull of its level never maximizes a positive functional, and right
-    extensions only apply positive functionals, so each level keeps just
-    those hull vertices, with one common log scale per level.  The hull's
-    ends are the highest and the rightmost vertex, so it keeps the largest
-    column sum too.  Only the first level is not scaled, and where its
-    products overflow or underflow it is scaled by a power of two, exactly.
-    Where the first level itself overflows, both generators are scaled by
-    2^-k, k the exponent of t; the second value returned is then k log 2,
-    which the logs of products of n letters lack n times, and 0 otherwise.
+    The level-n row vectors 1^T A_w, whose entries are the column sums of
+    A_w, come from level n-1 by right multiplication with A0 or t*A1, level
+    0 being 1^T itself.  A vector off the upper-right convex hull of its
+    level never maximizes a positive functional, and right extensions only
+    apply positive functionals, so each level keeps just those hull
+    vertices.  The hull's ends are the highest and the rightmost vertex, so
+    it keeps the largest entry m, the level's largest column sum: L_n is
+    log m plus the log scale of the level before, and the level is divided
+    by m.  A normalized row times a generator whose column sums stay below
+    _COLUMN_SUM_CAP stays finite, so where one does not, both generators
+    are scaled by 2^-k, k the exponent of t, and each L_n gets n k log 2
+    back.  A level lost to overflow (inf or nan) is inf, which bounds
+    nothing.
     """
     tf, k_gens = float(t), 0
     A0, A1 = pair.A0.to_float(), pair.A1.to_float()
     gens = (A0, A1.scaled(tf))
-    if not all(math.isfinite(A.a + A.c) and math.isfinite(A.b + A.d) for A in gens):
+    if not all(max(A.a + A.c, A.b + A.d) <= _COLUMN_SUM_CAP for A in gens):
         k_gens = math.frexp(tf)[1]
         gens = (A0.scaled(2.0**-k_gens), A1.scaled(math.ldexp(tf, -k_gens)))
-    level = _upper_right_hull([(A.a + A.c, A.b + A.d) for A in gens])
-
-    def grow():  # the row vectors of the next level
-        return [(x * A.a + y * A.c, x * A.b + y * A.d) for x, y in level for A in gens]
-
-    log_scale = 0.0
-    levels = []
+    shift = k_gens * math.log(2)
+    level, log_scale, levels = [(1.0, 1.0)], 0.0, []
     for n in range(1, max_len + 1):
-        levels.append((
-            math.log(max(x + y for x, y in level)) + log_scale,
-            math.log(max(max(v) for v in level)) + log_scale,
-        ))
-        if n < max_len:
-            nxt = grow()
-            m = max(max(v) for v in nxt)
-            # Only the unscaled first level's products can leave the normal range.
-            if not sys.float_info.min <= m < math.inf:
-                k = math.frexp(max(max(v) for v in level))[1]
-                level = [(math.ldexp(x, -k), math.ldexp(y, -k)) for x, y in level]
-                nxt = grow()
-                log_scale += k * math.log(2)
-                m = max(max(v) for v in nxt)
-            r = 1.0 / m
-            level = _upper_right_hull([(x * r, y * r) for x, y in nxt])
-            log_scale += math.log(m)
-    return levels, k_gens * math.log(2)
+        nxt = [(x * A.a + y * A.c, x * A.b + y * A.d) for x, y in level for A in gens]
+        m = max(max(v) for v in nxt)
+        r = 1.0 / m
+        level = _upper_right_hull([(x * r, y * r) for x, y in nxt])
+        log_scale += math.log(m)
+        levels.append(log_scale + n * shift if log_scale < math.inf else math.inf)
+    return levels
 
 
-def _sum_norm_bound(levels: list[tuple[float, float]], shift: float) -> float:
-    """min over n of the level-n log sum norm over n, with the generators' scale put back."""
-    return min(s / n for n, (s, _) in enumerate(levels, start=1)) + shift
+def _upper_bound(levels: list[float]) -> float:
+    """min over n of L_n / n: each is a bound, since ||.||_1 is submultiplicative."""
+    return min(c / n for n, c in enumerate(levels, start=1))
 
 
 def jsr_upper_norm(pair: MatrixPair, t: Number, max_len: int) -> float:
-    """min over n <= max_len of (1/n) log max over |w| = n of the sum norm.
+    """min over n <= max_len of (1/n) log max over |w| = n of ||A_t(w)||_1.
 
-    The entrywise sum norm is submultiplicative, so every length gives a
-    valid upper bound.  For positive matrices it equals 1^T A_w 1, and the
-    level maxima come from the upper-right hulls of the row vectors 1^T A_w
-    (see _norm_levels), which stay finite up to the largest float t.
+    The 1-norm, the largest column sum, is submultiplicative, so every
+    length gives a valid upper bound.  For positive matrices the column sums
+    of A_w are the entries of 1^T A_w, and the level maxima come from the
+    upper-right hulls of those row vectors (see _norm_levels), which stay
+    finite up to the largest float t.
     """
     _check_bruteforce_args(pair, t, max_len)
-    return _sum_norm_bound(*_norm_levels(pair, t, max_len))
+    return _upper_bound(_norm_levels(pair, t, max_len))
 
 
 def sturmian_value(pair: MatrixPair, t: Number, param: RationalParameter) -> float:

@@ -271,10 +271,11 @@ def _walk(
     Each w is a non-empty binary word whose first k letters are those of the
     word before it.  The caller knows k: the brute force from Duval's
     successor, the Sturmian table from the Stern-Brocot descent, and
-    word_product, with one word, gives 0.  stack holds a Row per prefix of
-    the word before, w[:1], w[:2], ..., so only the letters past the shared
-    prefix are multiplied, after which the last Row is w's product.  Each
-    prefix is stepped the same way whatever word it came from, so a value's
+    word_product, with one word, gives 0.  stack, which the walk resets,
+    holds a Row per prefix of the word before, w[:0], w[:1], ..., the empty
+    one the identity, so only the letters past the shared prefix are
+    multiplied, after which the last Row is w's product.  Each prefix is
+    stepped the same way whatever word it came from, so a value's
     bits do not depend on the words walked before it.  The scale of t enters
     only through the count of 1s, after the product.  A factor with a column
     whose |entries| sum past _COLUMN_SUM_CAP is a DomainError, checked once:
@@ -289,16 +290,14 @@ def _walk(
             raise DomainError(f"a product with {(e, f, g, h)} can overflow the float range")
         if any(0 < row < _ROW_MAX_FLOOR for row in (max(abs(e), abs(f)), max(abs(g), abs(h)))):
             raise DomainError(f"a product with {(e, f, g, h)} can underflow the float range")
-    (e0, s0), (e1, s1) = _normalised(f0), _normalised(f1)
-    firsts = {"0": (*e0, s0, 0), "1": (*e1, s1, 1)}
+    # The empty prefix: 1 e + 0 g = e and 0 + log m = log m, so a first
+    # letter gets the bits of its own normalization.
+    stack[:] = [(1.0, 0.0, 0.0, 1.0, 0.0, 0)]
     factors = {"0": (*f0, 0), "1": (*f1, 1)}
     log_t = math.log(float(t))
     log, sqrt = math.log, math.sqrt
     for k, word in steps:
-        del stack[k:]
-        if not k:
-            stack.append(firsts[word[0]])
-            k = 1
+        del stack[k + 1:]
         a, b, c, d, s, n = stack[-1]
         for ch in word[k:]:
             e, f, g, h, one = factors[ch]
@@ -329,7 +328,9 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
     float path the base matrices are multiplied with a normalization step
     (divide by the largest |entry|, add its log to s) after each letter, and
     the scale of t enters only through s, so scaling identities hold to the
-    last float digit.  A zero float product is a DomainError.
+    last float digit.  A zero float product is a DomainError, and so is one
+    that leaves the float range inside the walk, which a zero row of a
+    factor lets through _walk's checks.
     """
     if not word:
         raise EmptyWord("word product needs a non-empty word")
@@ -352,6 +353,8 @@ def word_product(pair: MatrixPair, t: Number, word: str) -> tuple[Matrix2, Numbe
     except ZeroDivisionError:
         raise DomainError(f"a zero product has no normalization (word {word!r})") from None
     a, b, c, d, log_scale, ones = stack[-1]
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise DomainError(f"the product over {word!r} leaves the float range")
     return Matrix2(a, b, c, d), log_scale + ones * math.log(float(t))
 
 

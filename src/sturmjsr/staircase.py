@@ -130,11 +130,14 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
     )
 
 
+def _pair_envelope(pair: MatrixPair, max_den: int) -> _Envelope:
+    """The envelope of the pair's float entries, whose table checks the cap."""
+    return _envelope(tuple(float(x) for x in pair.A0.entries() + pair.A1.entries()), max_den)
+
+
 def _validated(pair: MatrixPair, max_den: int, *scales: Number) -> tuple[ThresholdPair, _Envelope]:
-    """Class and scale checks, then the thresholds and the envelope, whose table checks the cap."""
-    sys = class_d_system(pair, *scales)
-    entries = tuple(float(x) for x in pair.A0.entries() + pair.A1.entries())
-    return sys.thresholds, _envelope(entries, max_den)
+    """Class and scale checks, then the thresholds and the envelope."""
+    return class_d_system(pair, *scales).thresholds, _pair_envelope(pair, max_den)
 
 
 def _sample(th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
@@ -256,9 +259,10 @@ def plateau_bounds(
     t0 and t1 and move with the cap like any other.  No segment, say one
     merged away, is PlateauNotFound.
     """
+    class_d_system(pair).thresholds  # the class and the thresholds' cross-check come first
     if not resolution > 0:
         raise DomainError("resolution must be positive")
-    _, env = _validated(pair, max_den)
+    env = _pair_envelope(pair, max_den)
     return PlateauEstimate(param, *_plateau(env, param, max_den), resolution)
 
 
@@ -281,12 +285,12 @@ def counterexample_search(
     bracket's ends are clipped to ThresholdPair.inside, which bounds them when
     a neighbor is 0/1 or 1/1, whose envelope segment is unbounded.
     """
+    lo, hi = class_d_system(pair).thresholds.inside
     if not (0 < float(target) < 1):
         raise DomainError(f"target must lie strictly inside (0, 1), got {target}")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    th, env = _validated(pair, max_den)
-    lo, hi = th.inside
+    env = _pair_envelope(pair, max_den)
     frac = target if isinstance(target, Fraction) else Fraction(float(target))
     p_lo, p_hi = farey_neighbors(frac, max_den)
 

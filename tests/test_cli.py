@@ -192,6 +192,10 @@ def test_certify_class_failure_exits_2(tmp_path, capsys):
         ["staircase", "--t-min", "0.2", "--t-max", "16", "--samples", "12", "--max-den", "12"],
         ["plateau", "--param", "1/2", "--resolution", "1e-6", "--max-den", "20"],
         ["counterexample", "--target", "0.38", "--tol", "1e-6", "--max-den", "20"],
+        # the class failure also wins over a bad resolution, tol or target
+        ["plateau", "--param", "1/2", "--resolution", "0", "--max-den", "20"],
+        ["counterexample", "--target", "0.38", "--tol", "0", "--max-den", "20"],
+        ["counterexample", "--target", "1.5", "--tol", "1e-6", "--max-den", "20"],
     ]
     for doc in (not_c, c_not_d):
         path = tmp_path / "pair.json"

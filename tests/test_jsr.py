@@ -99,8 +99,8 @@ def test_upper_bound_dominates_lower(reference_pair, symmetric_pair):
 
 
 def test_upper_bound_gap_shrinks_with_length(reference_pair):
-    # Rank-one convergence pins the sum-norm bound near log(3.06)/n here, so
-    # the n = 12 gap sits just above 0.09 and halves when n doubles.
+    # Rank-one convergence pins the column-sum bound near log(2.14)/n here,
+    # so the n = 12 gap sits near 0.063 and halves when n doubles.
     lo12 = jsr_lower_bruteforce(reference_pair, F(1, 4), 12)
     gap12 = lo12.upper - lo12.lower
     assert gap12 <= 0.1
@@ -160,10 +160,10 @@ def test_skip_successor_passes_exactly_the_extensions():
 
 # float.hex of lower and upper, and the argmax word, at max_len 16.
 PINNED_ESTIMATES = {
-    "reference-t-1": ("0x1.71e9f39975600p-2", "0x1.9c6dc46e52958p-2", "01"),
-    "reference-t0-half": ("-0x1.f000000000000p-52", "0x1.1e6860999a28dp-4", "0"),
-    "reference-2-t1": ("0x1.5cbf056a7bb22p+1", "0x1.6b5d5dccba7cap+1", "1"),
-    "d2-t-3/2": ("0x1.dea2c71f66a18p-1", "0x1.f78aad597a05ep-1", "011"),
+    "reference-t-1": ("0x1.71e9f39975600p-2", "0x1.81c89bdf1ef15p-2", "01"),
+    "reference-t0-half": ("-0x1.f000000000000p-52", "0x1.863032d627f87p-5", "0"),
+    "reference-2-t1": ("0x1.5cbf056a7bb22p+1", "0x1.6a61b91801161p+1", "1"),
+    "d2-t-3/2": ("0x1.dea2c71f66a18p-1", "0x1.ebe72fd2a317ap-1", "011"),
 }
 
 
@@ -243,13 +243,21 @@ def test_the_walk_skips_only_subtrees_off_the_chain_of_bests(
         assert walked == [w for w in lyndon_words(14) if w in seen]
 
 
-def _exhaustive_sum_norm_bounds(pair, t, max_len):
-    """Sum-norm bound over all 2^n products of each length n <= max_len."""
+def _column_sum_norm(M):
+    return max(abs(M.a) + abs(M.c), abs(M.b) + abs(M.d))
+
+
+def _sum_norm(M):
+    return sum(M.entries())
+
+
+def _exhaustive_norm_bounds(pair, t, max_len, norm=_column_sum_norm):
+    """min over n' <= n of (1/n') log max ||A_w|| over all 2^n' products, for each n <= max_len."""
     gens = (pair.A0.to_float(), pair.A1.to_float().scaled(float(t)))
     level = [(A, 0.0) for A in gens]
     best, bounds = math.inf, []
     for n in range(1, max_len + 1):
-        best = min(best, max(math.log(sum(M.entries())) + s for M, s in level) / n)
+        best = min(best, max(math.log(norm(M)) + s for M, s in level) / n)
         bounds.append(best)
         nxt = []
         for M, s in level:
@@ -263,8 +271,21 @@ def _exhaustive_sum_norm_bounds(pair, t, max_len):
 
 def test_hull_bound_matches_exhaustive_population(reference_pair, symmetric_pair):
     for pair, t in _bracket_cases(reference_pair, symmetric_pair)[::2]:
-        for n, want in enumerate(_exhaustive_sum_norm_bounds(pair, t, 12), start=1):
+        for n, want in enumerate(_exhaustive_norm_bounds(pair, t, 12), start=1):
             assert abs(jsr_upper_norm(pair, t, n) - want) <= 1e-12, (pair, t, n)
+
+
+def test_upper_bound_is_never_above_the_sum_norm_bound(reference_pair, symmetric_pair):
+    # The entrywise sum of a positive matrix is above its largest column sum.
+    for pair, t in _bracket_cases(reference_pair, symmetric_pair):
+        for n, looser in enumerate(_exhaustive_norm_bounds(pair, t, 10, _sum_norm), start=1):
+            assert jsr_upper_norm(pair, t, n) <= looser, (pair, t, n)
+
+
+def test_upper_norm_is_the_bruteforce_upper_bit_for_bit(reference_pair, symmetric_pair):
+    for pair, t in _bracket_cases(reference_pair, symmetric_pair):
+        for n in range(1, 13):
+            assert jsr_upper_norm(pair, t, n) == jsr_lower_bruteforce(pair, t, n).upper, (t, n)
 
 
 _entry = st.floats(0.01, 100.0)

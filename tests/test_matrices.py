@@ -333,3 +333,18 @@ def test_zero_and_nilpotent_products_are_domain_errors():
     prod, log_scale = word_product(NILPOTENT_PAIR, 1, "0")
     assert prod == NILPOTENT_PAIR.A0 and log_scale == 0
     assert math.isfinite(word_value(NILPOTENT_PAIR, 1, "01"))
+
+
+def test_a_product_that_leaves_the_float_range_is_a_domain_error():
+    # A0's zero row passes the walk's row floor; the "10" product's largest
+    # entry is 1e-310, whose reciprocal overflows, and it came back as
+    # Matrix2(inf, inf, nan, nan) with "spectral radius nan" after it.
+    pair = MatrixPair(Matrix2(0.0, 0.0, 1e-10, 1e-10), Matrix2(1.0, 1e-300, 0.0, 0.0))
+    for word in ("10", "100"):
+        with pytest.raises(DomainError):
+            word_product(pair, 1, word)
+        with pytest.raises(DomainError):
+            word_value(pair, 1, word)
+    prod, log_scale = word_product(pair, 1, "0")
+    assert prod == Matrix2(0.0, 0.0, 1.0, 1.0) and log_scale == math.log(1e-10)
+    assert word_value(pair, 1, "1") == 0.0

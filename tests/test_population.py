@@ -5,7 +5,7 @@ determinant is positive, and a pair when pair_report puts it in class D.
 The class checks are exact, so the filter needs no tolerance.  Each pair is
 read at the scales t0^(1-s) t1^s, and three routes must agree there:
 
-- the brute-force lower bound is below the sum-norm upper bound;
+- the brute-force lower bound is below the column-sum norm upper bound;
 - a Certified constant value lies within 1e-9 of the brute-force bracket;
 - the Stern-Brocot descent bracket of the matched coordinate c* contains
   the staircase parameter at cap 30.
@@ -112,7 +112,7 @@ def test_only_the_pinned_calls_raise(routes):
     assert routes[1] == RAISING
 
 
-def test_bruteforce_lower_is_below_the_sum_norm_upper(routes):
+def test_bruteforce_lower_is_below_the_column_sum_norm_upper(routes):
     for key, (estimate, _, _, _) in routes[0].items():
         assert estimate.lower <= estimate.upper, key
 

@@ -30,8 +30,8 @@ from sturmjsr import (
 )
 from sturmjsr.certify import TAIL_TOL
 from sturmjsr.dynamics import periodic_point_budget
-from sturmjsr.matrices import fixed_point, spectral_radius
-from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassD, PlateauNotFound
+from sturmjsr.matrices import Matrix2, fixed_point, spectral_radius
+from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassC, NotInClassD, PlateauNotFound
 from sturmjsr.jsr import _sturmian_table
 from sturmjsr.staircase import parameter_bracket_of_coordinate
 from sturmjsr.words import stern_brocot_words
@@ -368,6 +368,17 @@ def test_counterexample_validates_target(reference_pair):
         counterexample_search(reference_pair, 1.25, 1e-6, 10)
     with pytest.raises(DomainError):
         counterexample_search(reference_pair, 0.0, 1e-6, 10)
+
+
+def test_the_class_is_checked_before_the_other_arguments(c_not_d_pair):
+    # Resolution, target and tol were checked first, so these were DomainError.
+    not_c = MatrixPair(Matrix2(1, F(1, 2), F(1, 2), 1), Matrix2(1, F(1, 2), F(1, 2), 1))
+    for pair, error in ((not_c, NotInClassC), (c_not_d_pair, NotInClassD)):
+        with pytest.raises(error):
+            plateau_bounds(pair, RationalParameter(1, 2), 0, 20)
+        for target, tol in ((0.38, 0), (1.5, 1e-6), (0.38, -1.0)):
+            with pytest.raises(error):
+                counterexample_search(pair, target, tol, 20)
 
 
 def test_interior_parameter_consistent_with_interval_coordinate(reference_pair):
