@@ -73,11 +73,21 @@ class CounterexampleResult:
 class _Envelope:
     """Lines base + (p/q) log t by rising p/q; line k tops breaks[k] <= t < breaks[k+1].
 
-    log_radii are log r(A0) and log r(A1), the values of 0/1 and 1/1 at t = 1
-    below t0 and above t1.
+    slopes are the floats p / q of params, the keys that lookups bisect in
+    place of a Fraction per probe.  Their order is exact.  int / int is
+    correctly rounded, so it never reverses an order.  Two distinct reduced
+    fractions in [0, 1] with denominators <= N differ by at least 1/N**2,
+    which is 2**-50 or more for N <= 2**25, more than twice the float spacing
+    below 1, so they never round to one float.  No cap that large has a
+    table that fits in memory.  A key rounded from a fraction with a larger
+    denominator can tie or cross a slope, but that fraction is none of
+    params, so a lookup that checks the parameter it lands on still misses.
+    log_radii are log r(A0) and log r(A1), the values of 0/1 and 1/1 at
+    t = 1 below t0 and above t1.
     """
 
     params: tuple[RationalParameter, ...]
+    slopes: tuple[float, ...]
     bases: tuple[float, ...]
     breaks: tuple[float, ...]
     log_radii: tuple[float, float]
@@ -121,6 +131,7 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
     kept = [k for k in range(n) if prev[k] is not None]
     return _Envelope(
         params=tuple(RationalParameter(*hull[k][:2]) for k in kept),
+        slopes=tuple(hull[k][3] for k in kept),
         bases=tuple(hull[k][2] for k in kept),
         breaks=tuple(breaks[k] for k in kept) + (math.inf,),
         log_radii=(
@@ -133,11 +144,6 @@ def _envelope(entries: tuple[float, ...], max_den: int) -> _Envelope:
 def _pair_envelope(pair: MatrixPair, max_den: int) -> _Envelope:
     """The envelope of the pair's float entries, whose table checks the cap."""
     return _envelope(tuple(float(x) for x in pair.A0.entries() + pair.A1.entries()), max_den)
-
-
-def _validated(pair: MatrixPair, max_den: int, *scales: Number) -> tuple[ThresholdPair, _Envelope]:
-    """Class and scale checks, then the thresholds and the envelope."""
-    return class_d_system(pair, *scales).thresholds, _pair_envelope(pair, max_den)
 
 
 def _sample(th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
@@ -158,8 +164,8 @@ def _sample(th: ThresholdPair, env: _Envelope, t: Number) -> StaircaseSample:
 
 def parameter_map(pair: MatrixPair, t: Number, max_den: int) -> StaircaseSample:
     """Best Sturmian parameter at float(t), regime included, at denominator cap max_den."""
-    th, env = _validated(pair, max_den, t)
-    return _sample(th, env, t)
+    th = class_d_system(pair, t).thresholds
+    return _sample(th, _pair_envelope(pair, max_den), t)
 
 
 def staircase_scan(
@@ -169,8 +175,12 @@ def staircase_scan(
     samples: int,
     max_den: int,
 ) -> list[StaircaseSample]:
-    """Geometrically spaced samples of the parameter map, sorted by t."""
-    th, env = _validated(pair, max_den, t_min, t_max)
+    """Geometrically spaced samples of the parameter map, sorted by t.
+
+    The class, the scales, the window and the samples are checked before the
+    envelope is built, so an invalid argument does not wait for the table.
+    """
+    th = class_d_system(pair, t_min, t_max).thresholds
     if not float(t_min) < float(t_max):
         raise DomainError("need t_min < t_max")
     if samples < 2:
@@ -183,6 +193,7 @@ def staircase_scan(
         ts = [math.inf]
     if not math.isfinite(ts[-1]):
         raise DomainError(f"the scan from t_min = {t_min} to t_max = {t_max} overflows a float")
+    env = _pair_envelope(pair, max_den)
     return [_sample(th, env, t) for t in ts]
 
 
@@ -237,8 +248,13 @@ def parameter_bracket_of_coordinate(sys: InducedSystem, c: Number) -> ParameterB
 
 
 def _plateau(env: _Envelope, param: RationalParameter, max_den: int):
-    """First and last float of param's envelope segment: [0, ...] for 0/1, [..., inf] for 1/1."""
-    k = bisect_left(env.params, param.as_fraction(), key=RationalParameter.as_fraction)
+    """First and last float of param's envelope segment: [0, ...] for 0/1, [..., inf] for 1/1.
+
+    The bisection keys on the float p / q, exact by _Envelope's argument.  A
+    parameter with q > max_den, or one whose segment was merged away, is in
+    no envelope: PlateauNotFound.
+    """
+    k = bisect_left(env.slopes, param.p / param.q)
     if k == len(env.params) or env.params[k] != param:
         raise PlateauNotFound(f"no scale produced parameter {param} at denominator cap {max_den}")
     lo, hi = env.breaks[k], env.breaks[k + 1]
@@ -283,7 +299,9 @@ def counterexample_search(
     bracket, off by the envelope's float error, so it can miss the preimage
     of the target.  A rational target at the cap gets its own plateau.  A
     bracket's ends are clipped to ThresholdPair.inside, which bounds them when
-    a neighbor is 0/1 or 1/1, whose envelope segment is unbounded.
+    a neighbor is 0/1 or 1/1, whose envelope segment is unbounded.  Once the
+    envelope exists, a query is the integer descent of farey_neighbors and
+    two bisections of the envelope's float slopes.
     """
     lo, hi = class_d_system(pair).thresholds.inside
     if not (0 < float(target) < 1):
@@ -300,8 +318,8 @@ def counterexample_search(
         bracket = ParameterBracket(param, param, param)
     else:
         # An ulp below the first line with slope >= p- to the last with slope <= p+.
-        left = env.breaks[bisect_left(env.params, p_lo, key=RationalParameter.as_fraction)]
-        right = env.breaks[bisect_right(env.params, p_hi, key=RationalParameter.as_fraction)]
+        left = env.breaks[bisect_left(env.slopes, float(p_lo))]
+        right = env.breaks[bisect_right(env.slopes, float(p_hi))]
         t_lo = min(max(math.nextafter(left, 0.0), lo), hi)
         t_hi = max(min(right, hi), lo)
         bracket = ParameterBracket(

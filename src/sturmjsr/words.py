@@ -130,22 +130,32 @@ def orbit_min_max(param: RationalParameter) -> tuple[str, str]:
 def farey_neighbors(x: Fraction, max_den: int) -> tuple[Fraction, Fraction]:
     """Best rational bounds of x in [0, 1] with denominator at most max_den.
 
-    Returns (x, x) when x itself is representable at that resolution.
+    Returns (x, x) when x itself is representable at that resolution; a
+    float cap N counts as floor(N).  Otherwise x = n/m with m > N, and the
+    Stern-Brocot descent keeps lo = a/b < x < hi = c/d with c*b - a*d = 1, so
+    the two ends are reduced Farey neighbours.  Each step moves one end by a
+    whole run of equal moves: lo becomes lo + k*hi = (a + k*c)/(b + k*d) for
+    the largest k with k*(c*m - n*d) < n*b - a*m (lo stays below x) and
+    b + k*d <= N (its denominator stays within the cap), and hi moves the
+    same way toward lo.  A move keeps c*b - a*d = 1, and the next mediant
+    never equals x, whose denominator exceeds N.  The descent stops when the
+    mediant's denominator b + d passes N, after one step per partial
+    quotient of x, on ints alone.
     """
     if not (0 <= x <= 1):
         raise DomainError(f"x = {x} outside [0, 1]")
-    if max_den < 1:
+    if not max_den >= 1:
         raise DomainError("max_den must be at least 1")
-    if x.denominator <= max_den:
+    n, m = x.numerator, x.denominator
+    if m <= max_den:
         return x, x
-    lo, hi = Fraction(0), Fraction(1)
-    while True:
-        mediant = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-        if mediant.denominator > max_den:
-            return lo, hi
-        if mediant < x:
-            lo = mediant
-        elif mediant > x:
-            hi = mediant
-        else:
-            return mediant, mediant
+    cap = math.floor(max_den)
+    a, b, c, d = 0, 1, 1, 1
+    while b + d <= cap:
+        k = min((n * b - a * m - 1) // (c * m - n * d), (cap - b) // d)  # 0 when the mediant > x
+        a, b = a + k * c, b + k * d
+        if b + d > cap:
+            break
+        k = min((c * m - n * d - 1) // (n * b - a * m), (cap - d) // b)
+        c, d = c + k * a, d + k * b
+    return Fraction(a, b), Fraction(c, d)

@@ -160,3 +160,20 @@ def extremal_edge(pair: MatrixPair, param: RationalParameter, cap: int) -> float
     plat = plateau_bounds(pair, neighbour, 1e-9, cap)
     assert (plat.t_hi if top else plat.t_lo) == beyond
     return edge
+
+
+def farey_walk_oracle(x: F, max_den) -> tuple[F, F]:
+    """Best rational bounds of x at the cap, one Fraction mediant per Stern-Brocot level."""
+    if x.denominator <= max_den:
+        return x, x
+    lo, hi = F(0), F(1)
+    while True:
+        mediant = F(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+        if mediant.denominator > max_den:
+            return lo, hi
+        if mediant < x:
+            lo = mediant
+        elif mediant > x:
+            hi = mediant
+        else:
+            return mediant, mediant

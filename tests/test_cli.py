@@ -240,6 +240,55 @@ def test_plateau_not_found_exits_4(pair_file, capsys):
     assert code == 4
 
 
+def _doc(**fields):
+    return json.dumps(fields, indent=2) + "\n"
+
+
+def _bracket(lower, upper, exact=None):
+    return {"lower": lower, "upper": upper, "exact": exact}
+
+
+# stdout and exit code of plateau and counterexample queries, byte for byte.
+QUERY_PINS = {
+    "readme-counterexample": (
+        ["counterexample", "--target", "cf:0,2,1,1,1,1,1,1,1,1", "--tol", "1e-6",
+         "--max-den", "40"],
+        0,
+        _doc(t=0.6647466215672442, bracket=_bracket("8/21", "13/34"),
+             t_lo=0.6647466195363922, t_hi=0.664746623598096, interior=True),
+    ),
+    "large-partial-quotient": (
+        ["counterexample", "--target", "cf:0,2,1000000", "--tol", "1e-6", "--max-den", "40"],
+        0,
+        _doc(t=0.8924708844903626, bracket=_bracket("19/39", "1/2"),
+             t_lo=0.6949682677086676, t_hi=1.1461016519345697, interior=True),
+    ),
+    "tiny-float-target": (
+        ["counterexample", "--target", "1e-300", "--tol", "1e-6", "--max-den", "40"],
+        0,
+        _doc(t=0.3287244420277401, bracket=_bracket("0/1", "1/40"),
+             t_lo=0.31168831168831174, t_hi=0.34669172610652405, interior=True),
+    ),
+    "bottom-plateau-at-cap-1": (
+        ["plateau", "--param", "0/1", "--resolution", "1e-6", "--max-den", "1"],
+        0,
+        _doc(parameter="0/1", t_lo=0, t_hi=0.9999999999999994, resolution=1e-06),
+    ),
+    "merged-plateau": (
+        ["plateau", "--param", "13/34", "--resolution", "1e-6", "--max-den", "40"],
+        4,
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(QUERY_PINS))
+def test_query_stdout_is_pinned(pair_file, capsys, case):
+    argv, want_code, want_out = QUERY_PINS[case]
+    code, out, _ = run(capsys, [argv[0], pair_file, *argv[1:]])
+    assert (code, out) == (want_code, want_out)
+
+
 def test_counterexample_command(pair_file, capsys):
     code, out, _ = run(
         capsys,

@@ -33,10 +33,18 @@ from sturmjsr.dynamics import periodic_point_budget
 from sturmjsr.matrices import Matrix2, fixed_point, spectral_radius
 from sturmjsr.errors import DomainError, NonPositiveScale, NotInClassC, NotInClassD, PlateauNotFound
 from sturmjsr.jsr import _sturmian_table
+from sturmjsr import staircase
+from sturmjsr.cli import _parse_target
 from sturmjsr.staircase import parameter_bracket_of_coordinate
 from sturmjsr.words import stern_brocot_words
 
-from conftest import extremal_edge, mp_periodic_point, random_positive_matrix, word_value_oracle
+from conftest import (
+    extremal_edge,
+    farey_walk_oracle,
+    mp_periodic_point,
+    random_positive_matrix,
+    word_value_oracle,
+)
 
 
 def test_parameter_map_regimes(reference_pair):
@@ -379,6 +387,122 @@ def test_the_class_is_checked_before_the_other_arguments(c_not_d_pair):
         for target, tol in ((0.38, 0), (1.5, 1e-6), (0.38, -1.0)):
             with pytest.raises(error):
                 counterexample_search(pair, target, tol, 20)
+
+
+def _reduced_fractions(max_den):
+    """(p, q) per reduced p/q in [0, 1] with q <= max_den, rising: the Farey next-term rule."""
+    a, b, c, d = 0, 1, 1, max_den
+    out = [(a, b)]
+    while c <= max_den:
+        k = (max_den + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        out.append((a, b))
+    return out
+
+
+def test_float_slopes_of_reduced_fractions_strictly_increase():
+    fracs = _reduced_fractions(150)
+    assert len(fracs) == 6859
+    slopes = [p / q for p, q in fracs]
+    assert all(u < v for u, v in zip(slopes, slopes[1:]))
+
+
+def _bits(x):
+    return type(x).__name__, float(x).hex()
+
+
+def _plateau_oracle(env, param):
+    """The plateau's edges, the envelope's parameters bisected by the exact Fraction key."""
+    k = bisect.bisect_left(env.params, param.as_fraction(), key=RationalParameter.as_fraction)
+    if k == len(env.params) or env.params[k] != param:
+        return PlateauNotFound
+    lo, hi = env.breaks[k], env.breaks[k + 1]
+    return max(lo, 0), (math.nextafter(hi, 0.0) if hi < math.inf else hi)
+
+
+def _counterexample_oracle(pair, env, target, cap):
+    """counterexample_search's result by the Fraction walk and Fraction-keyed bisections."""
+    lo, hi = thresholds(pair).inside
+    p_lo, p_hi = farey_walk_oracle(target if isinstance(target, F) else F(float(target)), cap)
+    if p_lo == p_hi:
+        edges = _plateau_oracle(env, RationalParameter.from_fraction(p_lo))
+        if edges is PlateauNotFound:
+            return edges
+        t_lo, t_hi = edges
+    else:
+        key = RationalParameter.as_fraction
+        left = env.breaks[bisect.bisect_left(env.params, p_lo, key=key)]
+        right = env.breaks[bisect.bisect_right(env.params, p_hi, key=key)]
+        t_lo = min(max(math.nextafter(left, 0.0), lo), hi)
+        t_hi = max(min(right, hi), lo)
+    t = math.sqrt(t_lo * t_hi)
+    return p_lo, p_hi, t_lo.hex(), t_hi.hex(), t.hex(), lo <= t <= hi
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except PlateauNotFound:
+        return PlateauNotFound
+
+
+@pytest.mark.parametrize("cap", [13, 150])
+def test_plateau_lookups_match_the_fraction_keyed_bisection(threshold_pair, cap):
+    env = staircase._pair_envelope(threshold_pair, cap)
+    for p, q in _reduced_fractions(150):
+        param = RationalParameter(p, q)
+        got = _outcome(plateau_bounds, threshold_pair, param, 1e-6, cap)
+        want = _plateau_oracle(env, param)
+        if got is PlateauNotFound or want is PlateauNotFound:
+            assert got is want, (param, cap)
+        else:
+            assert (_bits(got.t_lo), _bits(got.t_hi)) == tuple(map(_bits, want)), (param, cap)
+
+
+def _seeded_targets(rng):
+    """Floats (some tiny, some next to 1), exact fractions, and cf: values with terms <= 200."""
+    floats = [rng.random() for _ in range(70)]
+    floats += [10 ** -rng.uniform(1, 300) for _ in range(15)]
+    floats += [1 - 10 ** -rng.uniform(1, 15) for _ in range(15)]
+    exact = []
+    for _ in range(100):
+        m = rng.randrange(2, 10 ** rng.randint(1, 12))
+        exact.append(F(rng.randrange(1, m), m))
+    cfs = []
+    while len(cfs) < 100:
+        terms = [rng.randint(1, 200) for _ in range(rng.randint(1, 8))]
+        x = _parse_target("cf:0," + ",".join(map(str, terms)))
+        if x < 1:
+            cfs.append(x)
+    return floats + exact + cfs
+
+
+@pytest.mark.parametrize("cap", [13, 150])
+def test_counterexample_lookups_match_the_fraction_walk(threshold_pair, cap):
+    env = staircase._pair_envelope(threshold_pair, cap)
+    for target in _seeded_targets(random.Random(cap)):
+        got = _outcome(counterexample_search, threshold_pair, target, 1e-6, cap)
+        if got is not PlateauNotFound:
+            br = got.bracket
+            assert br.exact == (br.lower if br.lower == br.upper else None)
+            got = (
+                br.lower.as_fraction(), br.upper.as_fraction(),
+                got.t_lo.hex(), got.t_hi.hex(), got.t.hex(), got.interior,
+            )
+        assert got == _counterexample_oracle(threshold_pair, env, target, cap), (target, cap)
+
+
+def test_scan_checks_its_window_before_the_table(reference_pair, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the Sturmian table was built")
+
+    # No other test uses cap 149, so its envelope is not cached: the last call shows it.
+    monkeypatch.setattr(staircase, "_sturmian_table", no_table)
+    for t_min, t_max, samples in ((2, 1, 200), (1, 2, 1), (1e-200, 1e200, 3)):
+        with pytest.raises(DomainError):
+            staircase_scan(reference_pair, t_min, t_max, samples, 149)
+    with pytest.raises(AssertionError, match="table was built"):
+        staircase_scan(reference_pair, 1, 2, 3, 149)
 
 
 def test_interior_parameter_consistent_with_interval_coordinate(reference_pair):

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmjsr import (
     RationalParameter,
@@ -20,7 +22,7 @@ from sturmjsr.dynamics import branch_of, periodic_orbit, periodic_point_budget
 from sturmjsr.errors import DomainError
 from sturmjsr.words import farey_neighbors, stern_brocot_words
 
-from conftest import common_prefix
+from conftest import common_prefix, farey_walk_oracle
 
 
 def RP(p, q):
@@ -129,6 +131,44 @@ def test_farey_neighbors_against_bruteforce():
         want_hi = min(f for f in fracs if f > target)
         assert (lo, hi) == (want_lo, want_hi)
     assert farey_neighbors(F(1, 2), 10) == (F(1, 2), F(1, 2))
+
+
+exact_targets = st.integers(1, 10**15).flatmap(
+    lambda m: st.integers(0, m).map(lambda n: F(n, m))
+)
+float_targets = st.floats(0, 1).map(F)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(exact_targets, float_targets), cap=st.integers(1, 10**4))
+def test_farey_descent_is_the_fraction_walk(x, cap):
+    lo, hi = farey_neighbors(x, cap)
+    assert (lo, hi) == farey_walk_oracle(x, cap)
+    if lo == hi:
+        assert lo == x and x.denominator <= cap
+        return
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    assert lo < x < hi
+    assert b <= cap and d <= cap
+    assert c * b - a * d == 1
+    assert b + d > cap
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(exact_targets, float_targets))
+def test_a_float_cap_counts_as_its_floor(x):
+    want = farey_walk_oracle(x, 40)
+    for cap in (40.0, 40.5):
+        got = farey_neighbors(x, cap)
+        assert got == want
+        assert all(type(f.numerator) is int and type(f.denominator) is int for f in got)
+
+
+def test_farey_descent_jumps_whole_runs():
+    # The Fraction walk would take 10**9 levels on either chain.
+    cap = 10**9
+    assert farey_neighbors(F(1, 10**12), cap) == (F(0), F(1, cap))
+    assert farey_neighbors(1 - F(1, 10**12), cap) == (F(cap - 1, cap), F(1))
 
 
 def test_orbit_points_fixed_parameters(reference_system):
