@@ -12,15 +12,15 @@ The series is summed by exact piece bookkeeping: the image of [0, z] under
 tau^n is an ordered union of subintervals, each inside one branch interval,
 so the n-th term is a sum of endpoint differences of f.  A piece carries its
 domain interval, the Moebius coefficients of tau^n there (scaled to largest
-modulus 1), and its two image endpoints, computed once when the piece is
-made.  The pieces do not depend on the evaluation points, so one sweep
-serves any number of them.  The points are sorted once, and the piece
-domains tile [0, 1] in order, so the points in one piece are one slice of
-them: two bisections find the slice and one pass adds the term to each of
-its points.  f at the piece's lower image end, and the sum over the whole
-pieces before it, are evaluated once per term, not once per point.  The
-sum stops once the rigorous tail bound (total image length) * sup|f'| is
-below tail_tol, 1e-12 unless the caller gives another.
+modulus 1) and its two image endpoints, computed once when the piece is
+made; the pieces depend on c only.  By -alpha (T_A(z) + sigma) =
+det A / (alpha z + b + d), the value of f at tau^n(y) is a difference of
+logs of the bottom rows of tau^n and tau^(n-1) at y, so a point's terms
+telescope: each piece also carries the constant K of its lineage, and a
+point y of the last pieces reads phi(y) = K + log|r y + s|, one bisection
+and one log per point whatever the depth.  The sum stops once the rigorous
+tail bound (total image length) * sup|f'| is below tail_tol, 1e-12 unless
+the caller gives another.
 
 The grid runs in floats with the bits of apply_T and f_eval on any pair,
 exact or float.  Mixed Fraction/float arithmetic rounds a subexpression
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,21 +142,32 @@ def _grid_pass(
 def _phi_batch(
     sys: InducedSystem, c: Number, zs: Sequence[float], tail_tol: float = TAIL_TOL
 ) -> list[float]:
-    """Transfer-function values at every z in zs, in one piece sweep.
+    """Transfer-function values at every z in zs, from one piece walk.
 
-    A piece is (dom_lo, dom_hi, moebius coefficients, img_lo, img_hi), the
-    moebius map being the restriction of tau^n to the domain interval.  The
-    n-th series term for a point z is the sum of f-endpoint differences over
-    the pieces of tau^n([0, z]); f is taken up to a per-branch additive
-    constant, which cancels in the differences.  Each term's pieces become
-    runs (p, q, r, s, alpha, sigma, prefix, f_lo), listed with their domain
-    lows: alpha and sigma of the branch read from sys.branch_floats, prefix
-    the sum over the whole pieces before the run, f_lo its f at img_lo.  The
-    points z > 0, clamped to 1 and sorted once, take the run whose domain
-    low is the last at or below them, one slice of points per run (phi is 0
-    at the other points); the sums go back in the order of zs.  The sum
-    stops once the tail bound is below tail_tol, and SERIES_MAX_DEPTH terms
-    without that raise NoConvergence.
+    A piece is (dom_lo, dom_hi, m, img_lo, img_hi, K): m = (p, q, r, s) is
+    tau^n on the domain interval, divided by norm, its largest modulus.  The
+    n-th term at a point y of the piece is prefix + f(m(y)) - f(img_lo), f
+    taken as -log|alpha (x + sigma)| of the branch (log det, constant on a
+    branch, cancels), prefix the sum over the whole pieces before.  Let the
+    branch A = (a, b; c, d) map the point's image u under the parent m' =
+    (p', q', r', s').  With sigma = (b - a) / alpha,
+
+        -alpha (T_A(u) + sigma) = det A / (alpha u + b + d),
+
+    as alpha b + (b - a)(b + d) = -det A, and alpha u + b + d =
+    (r y + s) norm / (r' y + s'), (r, s) being the bottom row of
+    tau_A m' = norm m.  So f(m(y)) = log|r y + s| - log|r' y + s'| +
+    log norm - log|det A|, and over a lineage from the identity piece the
+    point terms telescope:
+
+        phi_N(y) = K + log|r y + s|,  K = sum(prefix - f(img_lo) + log norm - log|det A|),
+
+    with K summed along the lineage as each piece is made.  The domains
+    of one term refine those of the last, so the piece of y at depth N,
+    the last whose domain low is at or below y, descends from its piece at
+    every earlier depth.  phi is 0 at z <= 0, and a z above 1 reads 1, the
+    end of the last piece.  The walk stops once the tail bound is below
+    tail_tol, and SERIES_MAX_DEPTH terms without that raise NoConvergence.
     """
     _check_tail_tol(tail_tol)
     cf = float(c)
@@ -167,20 +178,14 @@ def _phi_batch(
             raise DomainError(f"z = {z} outside [0, 1]")
     branches, sup_fp = sys.branch_floats, sys.f_prime_sup
     log = math.log
-
-    order = sorted((k for k, z in enumerate(zs) if z > 0.0), key=zs.__getitem__)
-    # The last piece ends at 1.0 in every term, so a z above 1 is its end.
-    points = [min(zs[k], 1.0) for k in order]
-    sums = [0.0] * len(points)
-    pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 1.0)]
+    log_dets = [log(abs(branch[8])) for branch in branches]
+    pieces = [(0.0, 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, 1.0, 0.0)]
 
     for _ in range(SERIES_MAX_DEPTH):
         new_pieces = []
-        los = []
-        runs = []
         total_len = 0.0
         acc = 0.0
-        for dlo, dhi, m, img_lo, img_hi in pieces:
+        for dlo, dhi, m, img_lo, img_hi, k in pieces:
             if img_hi < cf:
                 splits = ((dlo, dhi, 1),)
             elif img_lo >= cf:
@@ -205,32 +210,21 @@ def _phi_batch(
                 norm = max(abs(p), abs(q), abs(r), abs(s))
                 nm = (p / norm, q / norm, r / norm, s / norm)
                 new_lo, new_hi = _moebius(nm, lo), _moebius(nm, hi)
-                new_pieces.append((lo, hi, nm, new_lo, new_hi))
                 f_lo = -log(abs(alpha * (new_lo + sigma)))
-                los.append(lo)
-                runs.append((*nm, alpha, sigma, acc, f_lo))
+                new_k = k + ((acc - f_lo) + (log(norm) - log_dets[branch]))
+                new_pieces.append((lo, hi, nm, new_lo, new_hi, new_k))
                 acc += -log(abs(alpha * (new_hi + sigma))) - f_lo
                 total_len += new_hi - new_lo
         pieces = new_pieces
 
-        # The domains tile [0, 1] in order, so a run's points are a slice: from
-        # the first point left, whose run is the last to start at or below it,
-        # to the first point at or past the next run's start (inf after the last).
-        los.append(math.inf)
-        start = 0
-        while start < len(points):
-            k = bisect_right(los, points[start]) - 1
-            end = bisect_left(points, los[k + 1], start)
-            p, q, r, s, alpha, sigma, prefix, f_lo = runs[k]
-            for j in range(start, end):
-                y = points[j]
-                sums[j] += (prefix - log(abs(alpha * ((p * y + q) / (r * y + s) + sigma)))) - f_lo
-            start = end
-
         if total_len * sup_fp < tail_tol:
+            los = [piece[0] for piece in pieces]
             phi = [0.0] * len(zs)
-            for k, v in zip(order, sums):
-                phi[k] = v
+            for j, z in enumerate(zs):
+                if z > 0.0:
+                    _, _, (_, _, r, s), _, _, k = pieces[bisect_right(los, z) - 1]
+                    y = min(z, 1.0)
+                    phi[j] = k + log(abs(r * y + s))
             return phi
     raise NoConvergence(
         f"transfer series not below tail tolerance after {SERIES_MAX_DEPTH} terms"
@@ -382,8 +376,8 @@ def certify(
     """
     sys = class_d_system(pair, t)
     _check_tail_tol(tail_tol)
-    if grid_size < 64:
-        raise DomainError("grid_size must be at least 64")
+    if not isinstance(grid_size, int) or grid_size < 64:
+        raise DomainError(f"grid_size must be an int of at least 64, got {grid_size!r}")
     regime = sys.thresholds.regime(t)
 
     interior = regime is Domination.INTERIOR

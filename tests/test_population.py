@@ -16,7 +16,8 @@ other plateau lies strictly between them.
 A call may raise only NoConvergence (ROADMAP item 13); the raising calls are
 pinned below by (pair index, s).  At t = 1 the ergodic average of the
 induced function along a mechanical word's periodic orbit must equal the
-word product's value.
+word product's value.  A slow-marked sweep (pytest -m slow) certifies
+2 x 400 pairs at 7 scales against the cap-40 Sturmian value.
 
 The d2 pairs ((1,b;c,1),(1,c;b,1)) are swapped by conjugating with the
 flip, so (A0, A1/t) is (A0, t*A1) mirrored and scaled by 1/t: t0 t1 = 1,
@@ -38,6 +39,7 @@ from sturmjsr import (
     Verdict,
     certify,
     d2_pair,
+    delta_numeric,
     ergodic_average_f,
     induced_system,
     jsr_lower_bruteforce,
@@ -46,6 +48,7 @@ from sturmjsr import (
     parameter_bracket_of_coordinate,
     parameter_map,
     plateau_bounds,
+    sturmian_restricted_max,
     thresholds,
 )
 from sturmjsr.errors import NoConvergence, PlateauNotFound
@@ -63,6 +66,13 @@ D2_SEED = 30
 D2_COUNT = 20
 D2_SCALES = (0.2, 0.35, 0.5, 0.65, 0.8)
 D2_CAP = 40
+# The slow sweep: 2 x 400 pairs x 7 scales, 5,600 certify calls.
+SWEEP_SEEDS = (21, 22)
+SWEEP_COUNT = 400
+SWEEP_SCALES = (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
+SWEEP_CAP = 40
+# Calls that may stall in the series tail bound (ROADMAP item 13); 15 do.
+SWEEP_STALLS = 16
 
 # (pair index, s) of every population call that raises NoConvergence.
 RAISING = []
@@ -197,3 +207,27 @@ def test_defect_a_pair_certifies():
         Matrix2(F(1, 6), F(16), F(4, 55), F(40)),
     )
     assert certify(pair, _scale(pair, 0.8)).verdict is Verdict.CERTIFIED
+    # Which scales stall depends on the c that Brent visits; the walk itself
+    # stalls at these c, whatever the sum of the terms.
+    for c in (0.993, 0.997):
+        delta_numeric(induced_system(pair), c)
+
+
+@pytest.mark.slow
+def test_population_sweep_certificates_reach_the_sturmian_maximum():
+    # No call may raise but NoConvergence, and a Certified constant, the
+    # maximum ergodic average, is at least the cap-40 Sturmian value.
+    stalls = 0
+    for seed in SWEEP_SEEDS:
+        for i, pair in enumerate(class_d_population(seed, SWEEP_COUNT)):
+            for s in SWEEP_SCALES:
+                t = _scale(pair, s)
+                try:
+                    report = certify(pair, t)
+                except NoConvergence:
+                    stalls += 1
+                    continue
+                if report.verdict is Verdict.CERTIFIED:
+                    _, value = sturmian_restricted_max(pair, t, SWEEP_CAP)
+                    assert report.constant_value >= value - 1e-9, (seed, i, s)
+    assert stalls <= SWEEP_STALLS
